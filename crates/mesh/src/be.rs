@@ -10,8 +10,8 @@
 //! per-link contention — the same mechanics as `noc-packet`'s data plane,
 //! abstracted to message level so that meshes of hundreds of routers stay
 //! cheap to simulate. Message framing uses a byte-exact wire format
-//! (`bytes`), so payload sizes — and therefore delivery latencies — are
-//! real.
+//! (little-endian `u16`s), so payload sizes — and therefore delivery
+//! latencies — are real.
 //!
 //! The paper's budget: one lane's configuration (a 10-bit word) in under
 //! 1 ms, a full router (20 words) within 20 ms. The `reconfig_latency`
@@ -19,7 +19,6 @@
 
 use crate::soc::Soc;
 use crate::topology::{Mesh, NodeId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use noc_core::config::ConfigWord;
 use noc_core::error::ConfigError;
 use noc_sim::time::Cycle;
@@ -53,7 +52,7 @@ impl Default for BeConfig {
 struct InFlight {
     delivery: Cycle,
     dst: NodeId,
-    payload: Bytes,
+    payload: Vec<u8>,
     /// Per-network message id, for [`BeNetwork::cancel`].
     id: u64,
 }
@@ -75,28 +74,30 @@ pub struct BeNetwork {
 
 /// Encode a batch of configuration words into a wire payload: a length
 /// prefix followed by one little-endian `u16` per word.
-pub fn encode_words(words: &[ConfigWord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(2 + words.len() * 2);
-    buf.put_u16_le(words.len() as u16);
+pub fn encode_words(words: &[ConfigWord]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(2 + words.len() * 2);
+    buf.extend_from_slice(&(words.len() as u16).to_le_bytes());
     for w in words {
-        buf.put_u16_le(w.0);
+        buf.extend_from_slice(&w.0.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Decode a wire payload back into configuration words.
 ///
 /// Returns `None` on truncated or inconsistent payloads (a corrupt BE
 /// packet must not crash the configuration plane).
-pub fn decode_words(mut payload: Bytes) -> Option<Vec<ConfigWord>> {
-    if payload.remaining() < 2 {
+pub fn decode_words(payload: &[u8]) -> Option<Vec<ConfigWord>> {
+    let (&len, body) = payload.split_first_chunk::<2>()?;
+    if body.len() != usize::from(u16::from_le_bytes(len)) * 2 {
         return None;
     }
-    let n = payload.get_u16_le() as usize;
-    if payload.remaining() != n * 2 {
-        return None;
-    }
-    Some((0..n).map(|_| ConfigWord(payload.get_u16_le())).collect())
+    let words = body.chunks_exact(2);
+    Some(
+        words
+            .map(|w| ConfigWord(u16::from_le_bytes([w[0], w[1]])))
+            .collect(),
+    )
 }
 
 impl BeNetwork {
@@ -114,7 +115,7 @@ impl BeNetwork {
     }
 
     /// Cycles needed to push one message through one link.
-    fn serialisation_cycles(&self, payload: &Bytes) -> u64 {
+    fn serialisation_cycles(&self, payload: &[u8]) -> u64 {
         let bits = self.config.header_bits as u64 + payload.len() as u64 * 8;
         bits.div_ceil(self.config.link_width_bits as u64)
     }
@@ -196,7 +197,7 @@ impl BeNetwork {
             if self.pending[i].delivery <= now {
                 let msg = self.pending.swap_remove(i);
                 let words =
-                    decode_words(msg.payload).ok_or(ConfigError::MalformedWord { raw: 0xFFFF })?;
+                    decode_words(&msg.payload).ok_or(ConfigError::MalformedWord { raw: 0xFFFF })?;
                 for w in words {
                     soc.router_mut(msg.dst).apply_config_word(w)?;
                     applied += 1;
@@ -228,7 +229,7 @@ impl BeNetwork {
         while i < self.pending.len() {
             if self.pending[i].delivery <= now {
                 let msg = self.pending.swap_remove(i);
-                if let Some(words) = decode_words(msg.payload) {
+                if let Some(words) = decode_words(&msg.payload) {
                     self.delivered += 1;
                     self.words_applied += words.len() as u64;
                     due.push((msg.dst, words));
@@ -268,17 +269,17 @@ mod tests {
     fn encode_decode_roundtrip() {
         let words = vec![word(), ConfigWord(0x155), ConfigWord(0x2AA)];
         let payload = encode_words(&words);
-        assert_eq!(decode_words(payload), Some(words));
+        assert_eq!(decode_words(&payload), Some(words));
     }
 
     #[test]
     fn corrupt_payload_rejected() {
-        assert_eq!(decode_words(Bytes::from_static(&[7])), None);
+        assert_eq!(decode_words(&[7]), None);
         // Length says 5 words but only 1 present.
-        let mut buf = BytesMut::new();
-        buf.put_u16_le(5);
-        buf.put_u16_le(0x123);
-        assert_eq!(decode_words(buf.freeze()), None);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&5u16.to_le_bytes());
+        buf.extend_from_slice(&0x123u16.to_le_bytes());
+        assert_eq!(decode_words(&buf), None);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use noc_power::area::noi_entry_router_area;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{ParPolicy, WorkerPool};
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 
@@ -37,6 +36,7 @@ use crate::fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
 };
 use crate::hybrid::HybridFabric;
+use crate::session::{on_handle, Handles, SessionTable};
 use crate::soc::Soc;
 use crate::stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
@@ -131,16 +131,6 @@ impl InnerPlane {
             InnerPlane::Packet(f) => f,
         }
     }
-
-    /// Liveness probe for drain tracking (`None` when the id is unknown).
-    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        match self {
-            InnerPlane::Circuit(f) => f.stream_is_active(id),
-            InnerPlane::Hybrid(f) => f.stream_is_active(id),
-            InnerPlane::Deflection(f) => f.stream_is_active(id),
-            InnerPlane::Packet(f) => f.stream_is_active(id),
-        }
-    }
 }
 
 /// One word in flight on the NoI: stream tag, payload, and the cycle it
@@ -167,36 +157,34 @@ struct NoiLink {
     queue: VecDeque<NoiWord>,
 }
 
-/// Where a provisioned stream lives in the hierarchy.
-#[derive(Debug, Clone)]
+/// Where a stream handle lives in the hierarchy.
+#[derive(Debug, Clone, Copy)]
 enum ChipletSlot {
-    /// Both endpoints on one chiplet: forwarded verbatim to that plane.
-    Intra { chip: usize, local: StreamId },
-    /// Endpoints on different chiplets: source segment, NoI walk,
-    /// destination segment. A `None` segment is degenerate (the endpoint
-    /// tile *is* the boundary tile) and words bypass that inner plane.
-    Cross {
-        src_chip: usize,
-        dst_chip: usize,
-        src_seg: Option<StreamId>,
-        dst_seg: Option<StreamId>,
-        links: Vec<usize>,
+    /// Both endpoints on one chiplet: served by that plane under `local`,
+    /// which owns the session's lifecycle and words.
+    Intra {
+        chip: usize,
+        local: StreamId,
+        src: NodeId,
+        dst: NodeId,
     },
+    /// Endpoints on different chiplets: the index of the stream's session
+    /// (under the same handle) in the fabric's own `cross` table.
+    Cross(usize),
 }
 
-/// Per-stream bookkeeping at the chiplet level.
+/// A cross-chiplet session's own state: source segment, NoI walk,
+/// destination segment. A `None` segment is degenerate (the endpoint tile
+/// *is* the boundary tile) and words bypass that inner plane.
 #[derive(Debug, Clone)]
-struct ChipletStream {
-    id: u32,
-    slot: ChipletSlot,
-    src: NodeId,
-    dst: NodeId,
-    active: bool,
-    draining: bool,
+struct CrossStream {
+    src_chip: usize,
+    dst_chip: usize,
+    src_seg: Option<StreamId>,
+    dst_seg: Option<StreamId>,
+    links: Vec<usize>,
     /// Whether the destination segment's drain release has been issued.
     dst_drain_issued: bool,
-    injected: u64,
-    delivered: u64,
     /// NoI configuration cycles charged at `BeDelivered` provisioning.
     noi_reconfig: u64,
     /// First cycle at which the NoI path accepts words.
@@ -210,16 +198,33 @@ struct ChipletStream {
     /// Words waiting to enter the first NoI link (degenerate source
     /// segment, or flushed out of the source plane).
     noi_ingress: VecDeque<u16>,
-    /// Delivered payload awaiting `drain_stream`.
-    egress: Vec<u16>,
-    latency: LatencyHistogram,
 }
 
-impl ChipletStream {
-    fn cross_links(&self) -> &[usize] {
-        match &self.slot {
-            ChipletSlot::Cross { links, .. } => links,
-            ChipletSlot::Intra { .. } => &[],
+impl CrossStream {
+    /// A fresh session whose NoI walk accepts words `noi_reconfig` cycles
+    /// after `now`.
+    fn new(
+        src_chip: usize,
+        dst_chip: usize,
+        src_seg: Option<StreamId>,
+        dst_seg: Option<StreamId>,
+        links: Vec<usize>,
+        noi_reconfig: u64,
+        now: u64,
+    ) -> CrossStream {
+        CrossStream {
+            src_chip,
+            dst_chip,
+            src_seg,
+            dst_seg,
+            links,
+            dst_drain_issued: false,
+            noi_reconfig,
+            ready_at: now + noi_reconfig,
+            noi_wait: 0,
+            in_flight: 0,
+            pending_ts: VecDeque::new(),
+            noi_ingress: VecDeque::new(),
         }
     }
 }
@@ -271,12 +276,12 @@ pub struct ChipletFabric {
     planes: Vec<InnerPlane>,
     links: Vec<NoiLink>,
     link_index: BTreeMap<(usize, usize), usize>,
-    table: Vec<ChipletStream>,
-    by_id: BTreeMap<u32, usize>,
-    draining: Vec<usize>,
+    /// Every stream handle, routed to its plane or to `cross`.
+    handles: Handles<ChipletSlot>,
+    /// The cross-chiplet sessions, keyed by their global handles.
+    cross: SessionTable<CrossStream>,
     policy: ParPolicy,
     now: Cycle,
-    next_id: u32,
     noi_link_activity: ActivityLedger,
     noi_buffer_activity: ActivityLedger,
     noi_arbiter_activity: ActivityLedger,
@@ -287,7 +292,7 @@ impl ChipletFabric {
     pub const DEFAULT_ENTRY_LANES: usize = 4;
 
     /// Configuration cycles charged per NoI link on a `BeDelivered`
-    /// provision or a runtime `admit_stream` of a cross-chiplet stream:
+    /// provision or a runtime `admit` of a cross-chiplet stream:
     /// the entry router's lane table is written over the die-to-die
     /// sideband, one link at a time.
     pub const NOI_CONFIG_CYCLES_PER_LINK: u64 = 4;
@@ -337,12 +342,10 @@ impl ChipletFabric {
             planes,
             links,
             link_index,
-            table: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            handles: Handles::new(),
+            cross: SessionTable::new(),
             policy: ParPolicy::Sequential,
             now: Cycle(0),
-            next_id: 0,
             noi_link_activity: ActivityLedger::default(),
             noi_buffer_activity: ActivityLedger::default(),
             noi_arbiter_activity: ActivityLedger::default(),
@@ -381,15 +384,12 @@ impl ChipletFabric {
 
     /// Total cycles stream words spent queued at NoI entry routers.
     pub fn noi_wait_cycles(&self) -> u64 {
-        self.table.iter().map(|s| s.noi_wait).sum()
+        self.cross.iter().map(|s| s.x.noi_wait).sum()
     }
 
     /// Number of live cross-chiplet streams.
     pub fn cross_streams(&self) -> usize {
-        self.table
-            .iter()
-            .filter(|s| s.active && matches!(s.slot, ChipletSlot::Cross { .. }))
-            .count()
+        self.cross.iter().filter(|s| s.active()).count()
     }
 
     // -- geometry -----------------------------------------------------------
@@ -591,44 +591,34 @@ impl ChipletFabric {
         for (li, w) in moved {
             self.noi_buffer_activity.add(ActivityClass::BufferRead, 1);
             self.noi_link_activity.add(ActivityClass::LinkToggle, 16);
-            let idx = self.by_id[&w.stream];
-            let waited = (now - w.entered).saturating_sub(1);
-            self.table[idx].noi_wait += waited;
-            let links = self.table[idx].cross_links().to_vec();
-            let pos = links
-                .iter()
-                .position(|&l| l == li)
-                .expect("NoI word travels on its stream's walk");
-            if pos + 1 < links.len() {
-                let next = links[pos + 1];
+            let idx = self
+                .cross
+                .index_of(StreamId(w.stream))
+                .expect("NoI words belong to cross-chiplet sessions");
+            let st = &mut self.cross[idx];
+            st.x.noi_wait += (now - w.entered).saturating_sub(1);
+            let pos =
+                st.x.links
+                    .iter()
+                    .position(|&l| l == li)
+                    .expect("NoI word travels on its stream's walk");
+            if let Some(&next) = st.x.links.get(pos + 1) {
                 self.noi_buffer_activity.add(ActivityClass::BufferWrite, 1);
                 self.links[next]
                     .queue
                     .push_back(NoiWord { entered: now, ..w });
             } else {
-                let st = &mut self.table[idx];
-                st.in_flight -= 1;
-                match &st.slot {
-                    ChipletSlot::Cross {
-                        dst_chip,
-                        dst_seg: Some(_),
-                        ..
-                    } => {
-                        relays
-                            .entry((*dst_chip, w.stream))
-                            .or_default()
-                            .push(w.word);
-                    }
-                    ChipletSlot::Cross { dst_seg: None, .. } => {
-                        // Degenerate destination segment: the boundary tile
-                        // is the destination tile.
-                        if let Some(ts) = st.pending_ts.pop_front() {
-                            st.latency.record(now - ts);
-                        }
-                        st.egress.push(w.word);
-                        st.delivered += 1;
-                    }
-                    ChipletSlot::Intra { .. } => unreachable!("intra streams never ride the NoI"),
+                st.x.in_flight -= 1;
+                if st.x.dst_seg.is_some() {
+                    relays
+                        .entry((st.x.dst_chip, w.stream))
+                        .or_default()
+                        .push(w.word);
+                } else {
+                    // Degenerate destination segment: the boundary tile
+                    // is the destination tile.
+                    let ts = st.x.pending_ts.pop_front();
+                    st.words.deliver(w.word, ts.map(|ts| now - ts));
                 }
             }
         }
@@ -636,14 +626,14 @@ impl ChipletFabric {
         // those planes their injection flush.
         let mut touched: Vec<usize> = Vec::new();
         for ((chip, stream), words) in relays {
-            let idx = self.by_id[&stream];
-            let local = match &self.table[idx].slot {
-                ChipletSlot::Cross {
-                    dst_seg: Some(local),
-                    ..
-                } => *local,
-                _ => unreachable!("relayed words target a live destination segment"),
-            };
+            let idx = self
+                .cross
+                .index_of(StreamId(stream))
+                .expect("relayed words belong to cross-chiplet sessions");
+            let local = self.cross[idx]
+                .x
+                .dst_seg
+                .expect("relayed words target a live destination segment");
             self.planes[chip]
                 .as_fabric_mut()
                 .inject_stream(local, &words);
@@ -661,32 +651,24 @@ impl ChipletFabric {
     /// Move source-segment output (or degenerate-source ingress) onto the
     /// first NoI link of each cross stream.
     fn feed_noi(&mut self, now: u64) {
-        for idx in 0..self.table.len() {
-            let st = &self.table[idx];
-            if !st.active && !st.draining {
+        for idx in 0..self.cross.len() {
+            let st = &mut self.cross[idx];
+            if !st.active() {
                 continue;
             }
-            let (src_chip, first_link, src_seg) = match &st.slot {
-                ChipletSlot::Cross {
-                    src_chip,
-                    links,
-                    src_seg,
-                    ..
-                } => (*src_chip, links[0], *src_seg),
-                ChipletSlot::Intra { .. } => continue,
-            };
-            if let Some(local) = src_seg {
-                let words = self.planes[src_chip].as_fabric_mut().drain_stream(local);
-                self.table[idx].noi_ingress.extend(words);
+            if let Some(local) = st.x.src_seg {
+                let words = self.planes[st.x.src_chip]
+                    .as_fabric_mut()
+                    .drain_stream(local);
+                st.x.noi_ingress.extend(words);
             }
-            let st = &mut self.table[idx];
-            if now >= st.ready_at {
-                let id = st.id;
-                while let Some(word) = st.noi_ingress.pop_front() {
-                    st.in_flight += 1;
+            if now >= st.x.ready_at {
+                let first_link = st.x.links[0];
+                while let Some(word) = st.x.noi_ingress.pop_front() {
+                    st.x.in_flight += 1;
                     self.noi_buffer_activity.add(ActivityClass::BufferWrite, 1);
                     self.links[first_link].queue.push_back(NoiWord {
-                        stream: id,
+                        stream: st.id.0,
                         word,
                         entered: now,
                     });
@@ -697,85 +679,57 @@ impl ChipletFabric {
 
     /// Pull destination-segment deliveries up to the chiplet level.
     fn collect_dst(&mut self, now: u64) {
-        for idx in 0..self.table.len() {
-            let (dst_chip, dst_seg) = match &self.table[idx].slot {
-                ChipletSlot::Cross {
-                    dst_chip,
-                    dst_seg: Some(local),
-                    ..
-                } => (*dst_chip, *local),
-                _ => continue,
-            };
-            let words = self.planes[dst_chip].as_fabric_mut().drain_stream(dst_seg);
-            if words.is_empty() {
+        for idx in 0..self.cross.len() {
+            let st = &mut self.cross[idx];
+            let Some(dst_seg) = st.x.dst_seg else {
                 continue;
-            }
-            let st = &mut self.table[idx];
-            for word in words {
-                if let Some(ts) = st.pending_ts.pop_front() {
-                    st.latency.record(now - ts);
-                }
-                st.egress.push(word);
-                st.delivered += 1;
-            }
-        }
-    }
-
-    /// Progress draining streams: finalise intra streams whose plane stream
-    /// went inactive, cascade cross-stream drains from source segment to
-    /// NoI to destination segment.
-    fn finalise_drains(&mut self) {
-        let draining = std::mem::take(&mut self.draining);
-        for idx in draining {
-            let finished = match &self.table[idx].slot {
-                ChipletSlot::Intra { chip, local } => {
-                    self.planes[*chip].stream_is_active(*local) == Some(false)
-                }
-                ChipletSlot::Cross {
-                    src_chip,
-                    dst_chip,
-                    src_seg,
-                    dst_seg,
-                    ..
-                } => {
-                    let (src_chip, dst_chip) = (*src_chip, *dst_chip);
-                    let (src_seg, dst_seg) = (*src_seg, *dst_seg);
-                    let src_done = src_seg
-                        .is_none_or(|s| self.planes[src_chip].stream_is_active(s) == Some(false));
-                    let noi_empty =
-                        self.table[idx].noi_ingress.is_empty() && self.table[idx].in_flight == 0;
-                    if src_done && noi_empty && !self.table[idx].dst_drain_issued {
-                        if let Some(d) = dst_seg {
-                            self.planes[dst_chip]
-                                .as_fabric_mut()
-                                .release(d, ReleaseMode::Drain)
-                                .expect("destination segment is live while draining");
-                        }
-                        self.table[idx].dst_drain_issued = true;
-                    }
-                    self.table[idx].dst_drain_issued
-                        && dst_seg.is_none_or(|d| {
-                            self.planes[dst_chip].stream_is_active(d) == Some(false)
-                        })
-                }
             };
-            if finished {
-                self.finalise_stream(idx);
-            } else {
-                self.draining.push(idx);
+            for word in self.planes[st.x.dst_chip]
+                .as_fabric_mut()
+                .drain_stream(dst_seg)
+            {
+                let ts = st.x.pending_ts.pop_front();
+                st.words.deliver(word, ts.map(|ts| now - ts));
             }
         }
     }
 
-    /// Mark a stream finished and free its NoI entry-lane reservations.
-    fn finalise_stream(&mut self, idx: usize) {
-        let links = self.table[idx].cross_links().to_vec();
-        for l in links {
+    /// Progress draining cross-chiplet streams: cascade each drain from
+    /// source segment to NoI to destination segment, then free the
+    /// stream's NoI entry-lane reservations. (Intra-chiplet drains run in
+    /// their plane.)
+    fn finalise_drains(&mut self) {
+        let planes = &mut self.planes;
+        let finished = self.cross.poll_drains(|st| {
+            let x = &mut st.x;
+            let src_done = x
+                .src_seg
+                .is_none_or(|s| planes[x.src_chip].as_fabric().stream_is_active(s) == Some(false));
+            let noi_empty = x.noi_ingress.is_empty() && x.in_flight == 0;
+            if src_done && noi_empty && !x.dst_drain_issued {
+                if let Some(d) = x.dst_seg {
+                    planes[x.dst_chip]
+                        .as_fabric_mut()
+                        .release(d, ReleaseMode::Drain)
+                        .expect("destination segment is live while draining");
+                }
+                x.dst_drain_issued = true;
+            }
+            x.dst_drain_issued
+                && x.dst_seg.is_none_or(|d| {
+                    planes[x.dst_chip].as_fabric().stream_is_active(d) == Some(false)
+                })
+        });
+        for idx in finished {
+            self.free_links(idx);
+        }
+    }
+
+    /// Free the NoI entry-lane reservations of cross session `idx`.
+    fn free_links(&mut self, idx: usize) {
+        for &l in &self.cross[idx].x.links {
             self.links[l].reserved = self.links[l].reserved.saturating_sub(1);
         }
-        let st = &mut self.table[idx];
-        st.active = false;
-        st.draining = false;
     }
 
     /// One aggregate cycle: step every chiplet plane (sharded onto the
@@ -799,12 +753,15 @@ impl ChipletFabric {
         self.finalise_drains();
     }
 
-    /// Stream table index for `id`, or an `UnknownStream` error.
-    fn index_of(&self, id: StreamId) -> Result<usize, AdmitError> {
-        self.by_id
-            .get(&id.0)
-            .copied()
-            .ok_or(AdmitError::UnknownStream(id))
+    /// The slot of handle `id`.
+    ///
+    /// # Panics
+    /// Panics on a handle this fabric never issued.
+    fn slot(&self, id: StreamId) -> ChipletSlot {
+        *self
+            .handles
+            .get(id)
+            .unwrap_or_else(|| panic!("{id} is not served by this chiplet fabric"))
     }
 }
 
@@ -851,10 +808,9 @@ impl Fabric for ChipletFabric {
             link.reserved = 0;
             link.queue.clear();
         }
-        self.table.clear();
-        self.by_id.clear();
-        self.draining.clear();
-        self.next_id = 0;
+        let streams = mapping.streams();
+        self.handles.reset(streams.len() as u32);
+        self.cross.reset(streams.len() as u32);
 
         let ccn = Ccn::with_lane_capacity(
             self.inner_mesh,
@@ -874,7 +830,7 @@ impl Fabric for ChipletFabric {
         // Pre-pass: seed each chiplet's occupancy with every same-chiplet
         // route that will be provisioned verbatim, so segment admission
         // cannot collide with them regardless of stream order.
-        for ms in mapping.streams() {
+        for ms in &streams {
             if ms.spilled {
                 continue;
             }
@@ -885,12 +841,11 @@ impl Fabric for ChipletFabric {
         }
 
         let mut served = Vec::new();
-        let mut id = 0u32;
-        for ms in mapping.streams() {
+        for ms in streams {
             let src_chip = self.chip_of(ms.src);
             let dst_chip = self.chip_of(ms.dst);
-            let gid = id;
-            let (slot, noi_reconfig) = if src_chip == dst_chip {
+            let gid = ms.id.0;
+            if src_chip == dst_chip {
                 let plan = &mut plans[src_chip];
                 if ms.spilled {
                     // Aggregate-level spill decisions are preserved verbatim
@@ -898,7 +853,6 @@ impl Fabric for ChipletFabric {
                     // a circuit plane cannot carry them at all, every other
                     // plane takes them directly as spill streams.
                     if matches!(self.inner_kind, FabricKind::Circuit) {
-                        id += 1;
                         continue;
                     }
                     let spill = &mapping.spilled[ms.spill.expect("spilled stream has a spill")];
@@ -915,13 +869,13 @@ impl Fabric for ChipletFabric {
                     plan.routes.push(self.route_in_chip(route));
                     plan.route_refs.push(SegRef::Intra(gid));
                 }
-                (
-                    ChipletSlot::Intra {
-                        chip: src_chip,
-                        local: StreamId(0),
-                    },
-                    0,
-                )
+                let slot = ChipletSlot::Intra {
+                    chip: src_chip,
+                    local: StreamId(0),
+                    src: ms.src,
+                    dst: ms.dst,
+                };
+                self.handles.insert(ms.id, slot);
             } else {
                 let links = self.noi_route(src_chip, dst_chip);
                 let (first_port, last_port) = self.noi_ports(&links);
@@ -958,7 +912,6 @@ impl Fabric for ChipletFabric {
                 if matches!(src_out, SegOutcome::Unserved)
                     || matches!(dst_out, SegOutcome::Unserved)
                 {
-                    id += 1;
                     continue;
                 }
                 occupied[src_chip] = src_occ;
@@ -994,42 +947,20 @@ impl Fabric for ChipletFabric {
                     }
                     ProvisionMode::Instant => 0,
                 };
-                (
-                    ChipletSlot::Cross {
-                        src_chip,
-                        dst_chip,
-                        src_seg,
-                        dst_seg,
-                        links,
-                    },
+                let cross = CrossStream::new(
+                    src_chip,
+                    dst_chip,
+                    src_seg,
+                    dst_seg,
+                    links,
                     noi_reconfig,
-                )
-            };
-            let ready_at = self.now.0 + noi_reconfig;
-            self.by_id.insert(gid, self.table.len());
-            self.table.push(ChipletStream {
-                id: gid,
-                slot,
-                src: ms.src,
-                dst: ms.dst,
-                active: true,
-                draining: false,
-                dst_drain_issued: false,
-                injected: 0,
-                delivered: 0,
-                noi_reconfig,
-                ready_at,
-                noi_wait: 0,
-                in_flight: 0,
-                pending_ts: VecDeque::new(),
-                noi_ingress: VecDeque::new(),
-                egress: Vec::new(),
-                latency: LatencyHistogram::new(),
-            });
-            served.push(StreamId(gid));
-            id += 1;
+                    self.now.0,
+                );
+                let idx = self.cross.open(ms.id, ms.src, ms.dst, cross);
+                self.handles.insert(ms.id, ChipletSlot::Cross(idx));
+            }
+            served.push(ms.id);
         }
-        self.next_id = id;
 
         // Bind local plane ids back into the chiplet table. Each plane
         // returns ids in `Mapping::streams()` order: routes first (in push
@@ -1054,19 +985,23 @@ impl Fabric for ChipletFabric {
                 refs.len(),
             );
             for (local, r) in ids.into_iter().zip(refs) {
-                let gid = match r {
-                    SegRef::Intra(g) | SegRef::Src(g) | SegRef::Dst(g) => g,
-                };
-                let idx = self.by_id[&gid];
-                match (&mut self.table[idx].slot, r) {
-                    (ChipletSlot::Intra { local: slot, .. }, SegRef::Intra(_)) => *slot = local,
-                    (ChipletSlot::Cross { src_seg, .. }, SegRef::Src(_)) => {
-                        *src_seg = Some(local);
+                match r {
+                    SegRef::Intra(gid) => match self.handles.get_mut(StreamId(gid)) {
+                        Some(ChipletSlot::Intra { local: slot, .. }) => *slot = local,
+                        _ => unreachable!("intra bindings target intra slots"),
+                    },
+                    SegRef::Src(gid) | SegRef::Dst(gid) => {
+                        let idx = self
+                            .cross
+                            .index_of(StreamId(gid))
+                            .expect("segment bindings target cross sessions");
+                        let x = &mut self.cross[idx].x;
+                        if matches!(r, SegRef::Src(_)) {
+                            x.src_seg = Some(local);
+                        } else {
+                            x.dst_seg = Some(local);
+                        }
                     }
-                    (ChipletSlot::Cross { dst_seg, .. }, SegRef::Dst(_)) => {
-                        *dst_seg = Some(local);
-                    }
-                    _ => unreachable!("segment binding matches its slot shape"),
                 }
             }
         }
@@ -1074,38 +1009,28 @@ impl Fabric for ChipletFabric {
     }
 
     fn inject_stream(&mut self, id: StreamId, words: &[u16]) -> usize {
-        let idx = self.by_id[&id.0];
-        let st = &self.table[idx];
-        assert!(
-            st.active && !st.draining,
-            "stream {} is not accepting words",
-            id.0
-        );
-        match st.slot {
-            ChipletSlot::Intra { chip, local } => self.planes[chip]
+        if let ChipletSlot::Intra { chip, local, .. } = self.slot(id) {
+            return self.planes[chip]
+                .as_fabric_mut()
+                .inject_stream(local, words);
+        }
+        let now = self.now.0;
+        let idx = self.cross.accepting(id);
+        let st = &mut self.cross[idx];
+        let accepted = match st.x.src_seg {
+            Some(local) => self.planes[st.x.src_chip]
                 .as_fabric_mut()
                 .inject_stream(local, words),
-            ChipletSlot::Cross {
-                src_chip, src_seg, ..
-            } => {
-                let now = self.now.0;
-                let accepted = match src_seg {
-                    Some(local) => self.planes[src_chip]
-                        .as_fabric_mut()
-                        .inject_stream(local, words),
-                    None => {
-                        self.table[idx].noi_ingress.extend(words.iter().copied());
-                        words.len()
-                    }
-                };
-                let st = &mut self.table[idx];
-                st.injected += accepted as u64;
-                for _ in 0..accepted {
-                    st.pending_ts.push_back(now);
-                }
-                accepted
+            None => {
+                st.x.noi_ingress.extend(words.iter().copied());
+                words.len()
             }
+        };
+        st.words.injected += accepted as u64;
+        for _ in 0..accepted {
+            st.x.pending_ts.push_back(now);
         }
+        accepted
     }
 
     fn finish_injection(&mut self) {
@@ -1115,92 +1040,68 @@ impl Fabric for ChipletFabric {
     }
 
     fn drain_stream(&mut self, id: StreamId) -> Vec<u16> {
-        let idx = self.by_id[&id.0];
-        match self.table[idx].slot {
-            ChipletSlot::Intra { chip, local } => {
+        match self.slot(id) {
+            ChipletSlot::Intra { chip, local, .. } => {
                 self.planes[chip].as_fabric_mut().drain_stream(local)
             }
-            ChipletSlot::Cross { .. } => std::mem::take(&mut self.table[idx].egress),
+            ChipletSlot::Cross(_) => self.cross.take_egress(id),
         }
     }
 
+    /// An intra-chiplet release runs in its plane (errors come back under
+    /// the aggregate handle); a cross-chiplet one releases the source
+    /// segment, and a drain cascades on from there in `step`.
     fn release(&mut self, id: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let idx = self.index_of(id)?;
-        if !self.table[idx].active {
+        let Some(&slot) = self.handles.get(id) else {
             return Err(AdmitError::UnknownStream(id));
+        };
+        if let ChipletSlot::Intra { chip, local, .. } = slot {
+            return self.planes[chip]
+                .as_fabric_mut()
+                .release(local, mode)
+                .map_err(|err| on_handle(err, id));
         }
-        if self.table[idx].draining {
-            return Err(AdmitError::Draining(id));
+        let idx = self.cross.releasable(id)?;
+        let x = &self.cross[idx].x;
+        let (src_chip, dst_chip, src_seg, dst_seg) = (x.src_chip, x.dst_chip, x.src_seg, x.dst_seg);
+        if let Some(s) = src_seg {
+            self.planes[src_chip].as_fabric_mut().release(s, mode)?;
         }
-        match self.table[idx].slot.clone() {
-            ChipletSlot::Intra { chip, local } => {
-                self.planes[chip].as_fabric_mut().release(local, mode)?;
-                match mode {
-                    ReleaseMode::Drop => {
-                        self.table[idx].active = false;
-                    }
-                    ReleaseMode::Drain => {
-                        if self.planes[chip].stream_is_active(local) == Some(false) {
-                            self.table[idx].active = false;
-                        } else {
-                            self.table[idx].draining = true;
-                            self.draining.push(idx);
-                        }
-                    }
+        match mode {
+            ReleaseMode::Drop => {
+                if let Some(d) = dst_seg {
+                    self.planes[dst_chip]
+                        .as_fabric_mut()
+                        .release(d, ReleaseMode::Drop)
+                        .expect("destination segment is live while the stream is");
                 }
-                Ok(())
+                for link in &mut self.links {
+                    link.queue.retain(|w| w.stream != id.0);
+                }
+                self.free_links(idx);
+                self.cross.close(idx);
+                let x = &mut self.cross[idx].x;
+                x.noi_ingress.clear();
+                x.pending_ts.clear();
+                x.in_flight = 0;
             }
-            ChipletSlot::Cross {
-                src_chip,
-                dst_chip,
-                src_seg,
-                dst_seg,
-                links,
-            } => match mode {
-                ReleaseMode::Drop => {
-                    if let Some(s) = src_seg {
-                        self.planes[src_chip]
-                            .as_fabric_mut()
-                            .release(s, ReleaseMode::Drop)?;
-                    }
-                    if let Some(d) = dst_seg {
-                        self.planes[dst_chip]
-                            .as_fabric_mut()
-                            .release(d, ReleaseMode::Drop)
-                            .expect("destination segment is live while the stream is");
-                    }
-                    let gid = id.0;
-                    for link in &mut self.links {
-                        link.queue.retain(|w| w.stream != gid);
-                    }
-                    for l in links {
-                        self.links[l].reserved = self.links[l].reserved.saturating_sub(1);
-                    }
-                    let st = &mut self.table[idx];
-                    st.noi_ingress.clear();
-                    st.pending_ts.clear();
-                    st.in_flight = 0;
-                    st.active = false;
-                    Ok(())
-                }
-                ReleaseMode::Drain => {
-                    if let Some(s) = src_seg {
-                        self.planes[src_chip]
-                            .as_fabric_mut()
-                            .release(s, ReleaseMode::Drain)?;
-                    }
-                    self.table[idx].draining = true;
-                    self.draining.push(idx);
-                    Ok(())
-                }
-            },
+            ReleaseMode::Drain => self.cross.start_drain(idx),
+        }
+        Ok(())
+    }
+
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        match *self.handles.get(id)? {
+            ChipletSlot::Intra { chip, local, .. } => {
+                self.planes[chip].as_fabric().stream_is_active(local)
+            }
+            ChipletSlot::Cross(idx) => Some(self.cross[idx].active()),
         }
     }
 
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
         let src_chip = self.chip_of(demand.src);
         let dst_chip = self.chip_of(demand.dst);
-        let gid = self.next_id;
         if src_chip == dst_chip {
             let want = StreamDemand {
                 src: self.local_node(demand.src),
@@ -1208,31 +1109,15 @@ impl Fabric for ChipletFabric {
                 demand: demand.demand,
             };
             let local = self.planes[src_chip].as_fabric_mut().admit(&want)?;
-            self.by_id.insert(gid, self.table.len());
-            self.table.push(ChipletStream {
-                id: gid,
-                slot: ChipletSlot::Intra {
-                    chip: src_chip,
-                    local,
-                },
+            let id = self.handles.issue();
+            let slot = ChipletSlot::Intra {
+                chip: src_chip,
+                local,
                 src: demand.src,
                 dst: demand.dst,
-                active: true,
-                draining: false,
-                dst_drain_issued: false,
-                injected: 0,
-                delivered: 0,
-                noi_reconfig: 0,
-                ready_at: self.now.0,
-                noi_wait: 0,
-                in_flight: 0,
-                pending_ts: VecDeque::new(),
-                noi_ingress: VecDeque::new(),
-                egress: Vec::new(),
-                latency: LatencyHistogram::new(),
-            });
-            self.next_id += 1;
-            return Ok(StreamId(gid));
+            };
+            self.handles.insert(id, slot);
+            return Ok(id);
         }
         let links = self.noi_route(src_chip, dst_chip);
         if links
@@ -1281,35 +1166,19 @@ impl Fabric for ChipletFabric {
             self.links[l].reserved += 1;
         }
         let noi_reconfig = links.len() as u64 * Self::NOI_CONFIG_CYCLES_PER_LINK;
-        let ready_at = self.now.0 + noi_reconfig;
-        self.by_id.insert(gid, self.table.len());
-        self.table.push(ChipletStream {
-            id: gid,
-            slot: ChipletSlot::Cross {
-                src_chip,
-                dst_chip,
-                src_seg,
-                dst_seg,
-                links,
-            },
-            src: demand.src,
-            dst: demand.dst,
-            active: true,
-            draining: false,
-            dst_drain_issued: false,
-            injected: 0,
-            delivered: 0,
+        let cross = CrossStream::new(
+            src_chip,
+            dst_chip,
+            src_seg,
+            dst_seg,
+            links,
             noi_reconfig,
-            ready_at,
-            noi_wait: 0,
-            in_flight: 0,
-            pending_ts: VecDeque::new(),
-            noi_ingress: VecDeque::new(),
-            egress: Vec::new(),
-            latency: LatencyHistogram::new(),
-        });
-        self.next_id += 1;
-        Ok(StreamId(gid))
+            self.now.0,
+        );
+        let id = self.handles.issue();
+        let idx = self.cross.open(id, demand.src, demand.dst, cross);
+        self.handles.insert(id, ChipletSlot::Cross(idx));
+        Ok(id)
     }
 
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
@@ -1359,7 +1228,7 @@ impl Fabric for ChipletFabric {
 
     fn stream_stats(&self) -> Vec<StreamStats> {
         // Per-plane lookup maps keyed by local session id (lookups only —
-        // iteration order stays the chiplet table's).
+        // iteration order stays the handles').
         let plane_stats: Vec<HashMap<u32, StreamStats>> = self
             .planes
             .iter()
@@ -1371,28 +1240,29 @@ impl Fabric for ChipletFabric {
                     .collect()
             })
             .collect();
-        self.table
+        self.handles
             .iter()
-            .map(|st| match &st.slot {
-                ChipletSlot::Intra { chip, local } => {
-                    let mut stats = plane_stats[*chip]
+            .map(|(id, slot)| match *slot {
+                ChipletSlot::Intra {
+                    chip,
+                    local,
+                    src,
+                    dst,
+                } => {
+                    let mut stats = plane_stats[chip]
                         .get(&local.0)
                         .expect("intra stream has plane telemetry")
                         .clone();
-                    stats.id = StreamId(st.id);
-                    stats.src = st.src;
-                    stats.dst = st.dst;
+                    stats.id = id;
+                    stats.src = src;
+                    stats.dst = dst;
                     stats
                 }
-                ChipletSlot::Cross {
-                    src_chip,
-                    dst_chip,
-                    src_seg,
-                    dst_seg,
-                    ..
-                } => {
-                    let src_stats = src_seg.and_then(|s| plane_stats[*src_chip].get(&s.0));
-                    let dst_stats = dst_seg.and_then(|d| plane_stats[*dst_chip].get(&d.0));
+                ChipletSlot::Cross(idx) => {
+                    let st = &self.cross[idx];
+                    let x = &st.x;
+                    let src_stats = x.src_seg.and_then(|s| plane_stats[x.src_chip].get(&s.0));
+                    let dst_stats = x.dst_seg.and_then(|d| plane_stats[x.dst_chip].get(&d.0));
                     let seg_plane = src_stats
                         .map(|s| s.plane)
                         .or_else(|| dst_stats.map(|s| s.plane));
@@ -1412,18 +1282,7 @@ impl Fabric for ChipletFabric {
                     let max_deflections = src_stats
                         .map_or(0, |s| s.max_deflections)
                         .max(dst_stats.map_or(0, |s| s.max_deflections));
-                    StreamStats {
-                        id: StreamId(st.id),
-                        src: st.src,
-                        dst: st.dst,
-                        plane,
-                        active: st.active,
-                        injected_words: st.injected,
-                        delivered_words: st.delivered,
-                        reconfig_cycles: st.noi_reconfig.max(seg_reconfig),
-                        latency: st.latency.clone(),
-                        max_deflections,
-                    }
+                    st.stats(plane, x.noi_reconfig.max(seg_reconfig), max_deflections)
                 }
             })
             .collect()
@@ -1484,9 +1343,9 @@ impl Fabric for ChipletFabric {
         self.planes.iter().all(|p| p.as_fabric().is_quiescent())
             && self.links.iter().all(|l| l.queue.is_empty())
             && self
-                .table
+                .cross
                 .iter()
-                .all(|s| s.noi_ingress.is_empty() && s.in_flight == 0)
+                .all(|s| s.x.noi_ingress.is_empty() && s.x.in_flight == 0)
     }
 
     fn total_overflows(&self) -> u64 {

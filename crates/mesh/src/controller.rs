@@ -931,6 +931,10 @@ impl Fabric for FabricController {
         Ok(id)
     }
 
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        self.fabric.stream_is_active(stream)
+    }
+
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
         self.fabric.can_admit_circuit(demand)
     }

@@ -39,6 +39,7 @@ use crate::ccn::Mapping;
 use crate::fabric::{
     pport, EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
 };
+use crate::session::SessionTable;
 use crate::stream::{AdmitError, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats};
 use crate::topology::{Mesh, NodeId};
 use noc_packet::deflection::{DeflectFlit, DeflectionParams, DeflectionSlab};
@@ -47,18 +48,14 @@ use noc_power::area::deflection_router_area;
 use noc_sim::activity::ComponentActivity;
 use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 use std::collections::{BTreeMap, VecDeque};
 
-/// One deflection stream session: destination registration, sequence
-/// bookkeeping for the reorder window, and telemetry.
+/// A deflection session's own state: destination registration and the
+/// sequence bookkeeping of its reorder window.
 #[derive(Debug, Clone)]
-struct DeflectStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
+struct Deflected {
     dest: Coords,
     plane: StreamPlane,
     /// Words accepted but not yet released to `egress` (staged, in
@@ -70,17 +67,8 @@ struct DeflectStream {
     expected_seq: u64,
     /// Arrived-out-of-order flits parked until the gap closes.
     reorder: BTreeMap<u64, DeflectFlit>,
-    /// In-order delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
-    latency: LatencyHistogram,
     /// Worst per-word deflection count among delivered words.
     max_deflections: u64,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: no further injection, slot
-    /// retired once every accepted word has been delivered.
-    draining: bool,
 }
 
 /// The bufferless deflection mesh: one
@@ -94,15 +82,10 @@ pub struct DeflectionFabric {
     policy: ParPolicy,
     routers: DeflectionSlab,
     /// Stream sessions, provision-time then runtime-admitted.
-    streams: Vec<DeflectStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
+    sessions: SessionTable<Deflected>,
     /// Per node: flits awaiting injection at the tile port.
     ingress: Vec<VecDeque<DeflectFlit>>,
     now: Cycle,
-    next_id: u32,
     /// Has `provision` run? (`admit` needs a plan to extend.)
     provisioned: bool,
     /// Payload words injected (one flit per word).
@@ -133,12 +116,9 @@ impl DeflectionFabric {
             params,
             policy: ParPolicy::Auto,
             routers,
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: SessionTable::new(),
             ingress: mesh.iter().map(|_| Default::default()).collect(),
             now: Cycle::ZERO,
-            next_id: 0,
             provisioned: false,
             words_injected: 0,
             words_delivered: 0,
@@ -178,33 +158,16 @@ impl DeflectionFabric {
     /// Register one stream session.
     fn register(&mut self, id: StreamId, src: NodeId, dst: NodeId, plane: StreamPlane) {
         let (x, y) = self.mesh.coords(dst);
-        let idx = self.streams.len();
-        self.by_id.insert(id.0, idx);
-        self.streams.push(DeflectStream {
-            id,
-            src,
-            dst,
+        let deflected = Deflected {
             dest: Coords::new(x as u8, y as u8),
             plane,
             pending: 0,
             next_seq: 0,
             expected_seq: 0,
             reorder: BTreeMap::new(),
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
-            latency: LatencyHistogram::new(),
             max_deflections: 0,
-            active: true,
-            draining: false,
-        });
-    }
-
-    /// Is stream `id` still an open session (`true` until a release —
-    /// including a [`ReleaseMode::Drain`]'s deferred retirement — has
-    /// completed)? `None` for handles this fabric does not serve.
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&si| self.streams[si].active)
+        };
+        self.sessions.open(id, src, dst, deflected);
     }
 
     /// One full fabric cycle: wire the links, inject from the ingress
@@ -256,30 +219,28 @@ impl DeflectionFabric {
         //    order, like every other backend. Latency is recorded at
         //    release (transit plus any reorder wait: the word is not
         //    usable earlier).
+        let now = self.now.0;
         for node in self.mesh.iter() {
             while let Some(flit) = self.routers.tile_recv(node.0) {
                 self.words_delivered += 1;
                 let si = self
-                    .by_id
-                    .get(&u32::from(flit.tag))
-                    .copied()
+                    .sessions
+                    .index_of(StreamId(u32::from(flit.tag)))
                     // Tag numbering restarts at re-provision, so an
                     // in-flight flit could alias a new stream's tag; only
                     // accept words whose destination matches the claimed
                     // session. Unattributable words are dropped (the
                     // conformance contract settles before
                     // re-provisioning).
-                    .filter(|&si| self.streams[si].dst == node);
+                    .filter(|&si| self.sessions[si].dst == node);
                 if let Some(si) = si {
-                    let s = &mut self.streams[si];
-                    s.reorder.insert(flit.seq, flit);
-                    while let Some(f) = s.reorder.remove(&s.expected_seq) {
-                        s.expected_seq += 1;
-                        s.egress.push(f.payload);
-                        s.delivered += 1;
-                        s.pending = s.pending.saturating_sub(1);
-                        s.latency.record(self.now.0.saturating_sub(f.born));
-                        s.max_deflections = s.max_deflections.max(u64::from(f.deflections));
+                    let s = &mut self.sessions[si];
+                    s.x.reorder.insert(flit.seq, flit);
+                    while let Some(f) = s.x.reorder.remove(&s.x.expected_seq) {
+                        s.x.expected_seq += 1;
+                        s.x.pending = s.x.pending.saturating_sub(1);
+                        s.x.max_deflections = s.x.max_deflections.max(u64::from(f.deflections));
+                        s.words.deliver(f.payload, Some(now.saturating_sub(f.born)));
                     }
                 }
             }
@@ -288,18 +249,7 @@ impl DeflectionFabric {
         // 5. Finalise draining releases: a session retired with
         //    `ReleaseMode::Drain` stays registered until its last
         //    accepted word was released above, then closes loss-free.
-        if !self.draining.is_empty() {
-            self.draining.retain(|&si| {
-                let s = &mut self.streams[si];
-                if s.pending == 0 {
-                    s.active = false;
-                    s.draining = false;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.sessions.poll_drains(|s| s.x.pending == 0);
     }
 }
 
@@ -358,10 +308,7 @@ impl Fabric for DeflectionFabric {
                 streams: streams.len(),
             });
         }
-        self.streams.clear();
-        self.by_id.clear();
-        self.draining.clear();
-        self.next_id = streams.len() as u32;
+        self.sessions.reset(streams.len() as u32);
         self.provisioned = true;
         let mut served = Vec::with_capacity(streams.len());
         for ms in streams {
@@ -377,93 +324,65 @@ impl Fabric for DeflectionFabric {
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this deflection fabric"));
-        assert!(self.streams[si].active, "{stream} was released");
-        assert!(
-            !self.streams[si].draining,
-            "{stream} is draining — admission is stopped"
-        );
+        let si = self.sessions.accepting(stream);
         let now = self.now.0;
-        let s = &mut self.streams[si];
-        let (src, dest, tag) = (s.src, s.dest, s.id.0 as u8);
+        let s = &mut self.sessions[si];
+        let (src, dest, tag) = (s.src, s.x.dest, s.id.0 as u8);
         for &word in words {
-            let flit = DeflectFlit::new(dest, tag, word, now, s.next_seq);
-            s.next_seq += 1;
-            s.pending += 1;
-            s.injected += 1;
+            let flit = DeflectFlit::new(dest, tag, word, now, s.x.next_seq);
+            s.x.next_seq += 1;
+            s.x.pending += 1;
             self.ingress[src.0].push_back(flit);
         }
+        s.words.injected += words.len() as u64;
         self.words_injected += words.len() as u64;
         words.len()
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this deflection fabric"));
-        std::mem::take(&mut self.streams[si].egress)
+        self.sessions.take_egress(stream)
     }
 
     fn stream_stats(&self) -> Vec<StreamStats> {
-        self.streams
+        self.sessions
             .iter()
-            .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: s.plane,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: 0,
-                latency: s.latency.clone(),
-                max_deflections: s.max_deflections,
-            })
+            .map(|s| s.stats(s.x.plane, 0, s.x.max_deflections))
             .collect()
     }
 
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&si) = self.by_id.get(&stream.0) else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        if !self.streams[si].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.streams[si].draining {
-            return Err(AdmitError::Draining(stream));
-        }
+        let si = self.sessions.releasable(stream)?;
         match mode {
             ReleaseMode::Drop => {
                 // Discard the staged (never-injected) words: they are the
                 // tail of the sequence space, so the reorder window stays
                 // contiguous for flits already on the wire — those may
                 // still land after the release and are delivered normally.
-                let src = self.streams[si].src;
+                let src = self.sessions[si].src;
                 let tag = stream.0 as u8;
                 let before = self.ingress[src.0].len();
                 self.ingress[src.0].retain(|f| f.tag != tag);
                 let dropped = (before - self.ingress[src.0].len()) as u64;
-                let s = &mut self.streams[si];
-                s.active = false;
+                self.sessions.close(si);
+                let s = &mut self.sessions[si].x;
                 s.pending = s.pending.saturating_sub(dropped);
             }
             ReleaseMode::Drain => {
                 // Every accepted word is already committed to the ingress
                 // queue or the network; `step_fabric` retires the session
                 // once the last one is released to egress.
-                if self.streams[si].pending == 0 {
-                    self.streams[si].active = false;
+                if self.sessions[si].x.pending == 0 {
+                    self.sessions.close(si);
                 } else {
-                    self.streams[si].draining = true;
-                    self.draining.push(si);
+                    self.sessions.start_drain(si);
                 }
             }
         }
         Ok(())
+    }
+
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        self.sessions.is_active(stream)
     }
 
     /// Deflection admits anything the coordinate space can address: a
@@ -472,13 +391,12 @@ impl Fabric for DeflectionFabric {
         if !self.provisioned {
             return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
         }
-        if self.next_id > 255 {
+        if self.sessions.next_id() > 255 {
             return Err(AdmitError::Unsupported(
                 "the header halfword's 256-stream tag space is exhausted",
             ));
         }
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
+        let id = self.sessions.issue();
         self.register(id, demand.src, demand.dst, StreamPlane::Packet);
         Ok(id)
     }
@@ -509,7 +427,7 @@ impl Fabric for DeflectionFabric {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.draining.is_empty()
+        self.sessions.pending_drains() == 0
             && self.ingress.iter().all(|q| q.is_empty())
             && (0..self.routers.len())
                 .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)

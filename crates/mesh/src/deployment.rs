@@ -2,8 +2,6 @@
 //! and traffic-bound network out — circuit- or packet-switched, through
 //! one builder.
 //!
-//! This replaces the old fixed five-positional-argument deployment entry
-//! point (`AppRun::deploy`, now a deprecated shim in the facade crate).
 //! The builder owns every knob with a sensible default:
 //!
 //! ```
@@ -743,8 +741,8 @@ impl<F: Fabric> Deployment<F> {
         }
     }
 
-    /// Take the fabric and mapping apart (the legacy `AppRun` shim builds
-    /// its load-driven bindings on top of a freshly provisioned fabric).
+    /// Take the fabric and mapping apart, to drive a freshly provisioned
+    /// fabric by hand.
     pub fn into_parts(self) -> (F, Mapping) {
         (self.fabric, self.mapping)
     }

@@ -26,6 +26,7 @@
 //! written once, over `F: Fabric`.
 
 use crate::ccn::Mapping;
+use crate::session::SessionTable;
 use crate::stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
 };
@@ -36,16 +37,15 @@ use noc_packet::params::{PacketParams, PacketPort};
 use noc_packet::router::RouterSlab;
 use noc_packet::routing::Coords;
 use noc_packet::vc::VcId;
-use noc_power::area::{circuit_router_area, packet_router_area};
+use noc_power::area::packet_router_area;
 use noc_power::estimator::{PowerEstimator, PowerReport};
 use noc_sim::activity::ComponentActivity;
 use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{FemtoJoules, MegaHertz, SquareMicroMeters};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Which switching discipline a fabric implements.
@@ -274,8 +274,9 @@ impl std::error::Error for SnapshotError {}
 ///    loss-free once the pipeline empties ([`ReleaseMode::Drain`]) — then
 ///    re-run CCN admission against the freed lanes, with reconfiguration
 ///    latency (BE-network configuration delivery, paper §5.1) charged to
-///    the admitted stream. [`Fabric::provision_with`] threads the same
-///    BE-delivery path through *initial* provisioning
+///    the admitted stream, and [`Fabric::stream_is_active`] polls whether
+///    a session's teardown has run. [`Fabric::provision_with`] threads the
+///    same BE-delivery path through *initial* provisioning
 ///    ([`ProvisionMode::BeDelivered`]), so cold-start setup time shows up
 ///    fabric-generically in stream latency;
 /// 6. [`Fabric::activity`] / [`Fabric::total_energy`] cost the run with
@@ -410,8 +411,8 @@ pub trait Fabric: Clocked + Send {
     /// [`Fabric::stream_stats`].
     ///
     /// # Panics
-    /// Panics on a handle this fabric does not serve or a released
-    /// stream.
+    /// Panics on a handle this fabric does not serve, a released stream
+    /// or a draining one.
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize;
 
     /// Take the payload words stream `stream` delivered since the last
@@ -440,16 +441,17 @@ pub trait Fabric: Clocked + Send {
     /// until that deferred teardown runs; a drain cannot be released
     /// again — [`AdmitError::Draining`]). Either way the handle stays
     /// valid for [`Fabric::drain_stream`] / [`Fabric::stream_stats`];
-    /// injecting on it panics.
-    ///
-    /// The default refuses: a backend without a runtime lifecycle simply
-    /// keeps its provisioned streams.
-    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let _ = (stream, mode);
-        Err(AdmitError::Unsupported(
-            "this backend has no runtime stream lifecycle",
-        ))
-    }
+    /// injecting on it panics. Releasing a handle that is already
+    /// released, or that this fabric never issued, fails with
+    /// [`AdmitError::UnknownStream`].
+    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError>;
+
+    /// Is session `stream` still open or draining? `Some(true)` until its
+    /// release — including a [`ReleaseMode::Drain`]'s deferred teardown —
+    /// has completed, `Some(false)` after, `None` for handles this fabric
+    /// never issued. A cheap poll for drain supervisors: it agrees with
+    /// [`StreamStats::active`] without cloning any telemetry.
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool>;
 
     /// Admit a new stream at runtime: re-run CCN lane admission against
     /// the lanes currently held (freed lanes of released streams are
@@ -459,14 +461,7 @@ pub trait Fabric: Clocked + Send {
     /// backends admit by registering a wormhole destination (no
     /// reconfiguration charge); the hybrid tries circuit admission first
     /// and spills to its gated packet plane otherwise.
-    ///
-    /// The default refuses, mirroring [`Fabric::release`].
-    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        let _ = demand;
-        Err(AdmitError::Unsupported(
-            "this backend has no runtime stream lifecycle",
-        ))
-    }
+    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError>;
 
     /// Drain the control-plane hand-over log: `(retired, replacement)`
     /// pairs recorded since the last call. `Some(to)` means session
@@ -591,124 +586,12 @@ pub trait Fabric: Clocked + Send {
 }
 
 // ---------------------------------------------------------------------------
-// Circuit-switched fabric: the existing Soc
-// ---------------------------------------------------------------------------
-
-/// Backend label of the circuit-switched [`crate::soc::Soc`] in
-/// [`FabricSnapshot`]s.
-pub(crate) const SOC_BACKEND: &str = "circuit-soc";
-
-impl Fabric for crate::soc::Soc {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Circuit
-    }
-
-    fn snapshot(&self) -> FabricSnapshot {
-        FabricSnapshot::new(SOC_BACKEND, self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &FabricSnapshot) -> Result<(), SnapshotError> {
-        *self = snapshot.downcast::<crate::soc::Soc>(SOC_BACKEND)?.clone();
-        Ok(())
-    }
-
-    fn mesh(&self) -> &Mesh {
-        crate::soc::Soc::mesh(self)
-    }
-
-    fn now(&self) -> Cycle {
-        crate::soc::Soc::now(self)
-    }
-
-    fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
-        crate::soc::Soc::provision(self, mapping).map_err(ProvisionError::from)
-    }
-
-    fn provision_with(
-        &mut self,
-        mapping: &Mapping,
-        mode: ProvisionMode,
-    ) -> Result<Vec<StreamId>, ProvisionError> {
-        crate::soc::Soc::provision_with(self, mapping, mode).map_err(ProvisionError::from)
-    }
-
-    fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        self.inject_stream_words(stream, words)
-    }
-
-    fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        self.drain_stream_words(stream)
-    }
-
-    fn stream_stats(&self) -> Vec<StreamStats> {
-        crate::soc::Soc::stream_stats(self)
-    }
-
-    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        self.release_stream(stream, mode)
-    }
-
-    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        crate::soc::Soc::admit_stream(self, demand)
-    }
-
-    fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
-        crate::soc::Soc::can_admit_circuit(self, demand)
-    }
-
-    fn set_parallelism(&mut self, policy: ParPolicy) {
-        crate::soc::Soc::set_parallelism(self, policy)
-    }
-
-    fn step(&mut self) {
-        crate::soc::Soc::step(self)
-    }
-
-    fn activity(&self) -> Vec<ComponentActivity> {
-        crate::soc::Soc::activity(self)
-    }
-
-    fn clear_activity(&mut self) {
-        crate::soc::Soc::clear_activity(self)
-    }
-
-    fn is_quiescent(&self) -> bool {
-        let lanes = self.params().lanes_per_port;
-        // A pending drain is outstanding work even after its last word
-        // was captured: the teardown (deferred one ack-flush window)
-        // still has to run inside `step`, so "run until quiescent"
-        // drivers must keep stepping.
-        self.pending_drains() == 0
-            && self.ingress_backlog() == 0
-            && crate::soc::Soc::mesh(self)
-                .iter()
-                .all(|n| (0..lanes).all(|l| self.router(n).tile_rx_pending(l) == 0))
-    }
-
-    fn area(&self, model: &EnergyModel) -> SquareMicroMeters {
-        circuit_router_area(self.params(), model.estimator().tech()).total()
-            * crate::soc::Soc::mesh(self).nodes() as f64
-    }
-
-    fn total_overflows(&self) -> u64 {
-        crate::soc::Soc::mesh(self)
-            .iter()
-            .map(|n| self.router(n).rx_overflows())
-            .sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Packet-switched fabric: a full mesh of VC wormhole routers
 // ---------------------------------------------------------------------------
 
-/// One wormhole stream session: a provisioned destination plus its word
-/// staging, delivery buffer and telemetry.
+/// A wormhole session's own state: its destination and word staging.
 #[derive(Debug, Clone)]
-struct PacketStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
+struct Wormhole {
     dest: Coords,
     plane: StreamPlane,
     /// Payload words of the partially filled outgoing packet.
@@ -716,15 +599,6 @@ struct PacketStream {
     /// Inject timestamps of words staged or in flight (FIFO — wormholes
     /// of one stream deliver in order).
     pending_ts: VecDeque<u64>,
-    /// Delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
-    latency: LatencyHistogram,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: no further injection, slot
-    /// retired once every accepted word has been delivered.
-    draining: bool,
 }
 
 /// The packet-switched baseline as a whole mesh: `noc_packet` routers on
@@ -748,17 +622,12 @@ pub struct PacketFabric {
     policy: ParPolicy,
     routers: RouterSlab,
     /// Stream sessions, provision-time then runtime-admitted.
-    streams: Vec<PacketStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
+    sessions: SessionTable<Wormhole>,
     /// Per node, per VC: stream tag of the wormhole being delivered.
     rx_stream: Vec<Vec<Option<u32>>>,
     /// Per node: flits awaiting injection at the tile port.
     ingress: Vec<VecDeque<Flit>>,
     now: Cycle,
-    next_id: u32,
     /// Has `provision` run? (`admit` needs a plan to extend, even one
     /// with zero streams — a hybrid's packet plane starts empty whenever
     /// nothing spilled.)
@@ -812,13 +681,10 @@ impl PacketFabric {
             packet_words,
             policy: ParPolicy::Auto,
             routers,
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: SessionTable::new(),
             rx_stream: mesh.iter().map(|_| vec![None; vcs]).collect(),
             ingress: mesh.iter().map(|_| Default::default()).collect(),
             now: Cycle::ZERO,
-            next_id: 0,
             provisioned: false,
             words_injected: 0,
             words_delivered: 0,
@@ -846,42 +712,25 @@ impl PacketFabric {
     /// Register one stream session.
     fn register(&mut self, id: StreamId, src: NodeId, dst: NodeId, plane: StreamPlane) {
         let (x, y) = self.mesh.coords(dst);
-        let idx = self.streams.len();
-        self.by_id.insert(id.0, idx);
-        self.streams.push(PacketStream {
-            id,
-            src,
-            dst,
+        let wormhole = Wormhole {
             dest: Coords::new(x as u8, y as u8),
             plane,
             open: Vec::with_capacity(self.packet_words),
             pending_ts: VecDeque::new(),
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
-            latency: LatencyHistogram::new(),
-            active: true,
-            draining: false,
-        });
-    }
-
-    /// Is stream `id` still an open session (`true` until a release —
-    /// including a [`ReleaseMode::Drain`]'s deferred retirement — has
-    /// completed)? `None` for handles this fabric does not serve.
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&si| self.streams[si].active)
+        };
+        self.sessions.open(id, src, dst, wormhole);
     }
 
     /// Stage one word on stream `si` (timestamped for the latency
     /// ledger), closing the open packet when it fills.
     fn push_word(&mut self, si: usize, word: u16) {
         let now = self.now.0;
-        let s = &mut self.streams[si];
-        s.open.push(word);
-        s.pending_ts.push_back(now);
-        s.injected += 1;
+        let s = &mut self.sessions[si];
+        s.x.open.push(word);
+        s.x.pending_ts.push_back(now);
+        s.words.injected += 1;
         self.words_injected += 1;
-        if self.streams[si].open.len() >= self.packet_words {
+        if self.sessions[si].x.open.len() >= self.packet_words {
             self.close_stream(si);
         }
     }
@@ -889,13 +738,13 @@ impl PacketFabric {
     /// Close stream `si`'s open packet, if any, and queue its flits —
     /// head tagged with the stream id, so delivery is attributable.
     fn close_stream(&mut self, si: usize) {
-        let s = &mut self.streams[si];
-        if s.open.is_empty() {
+        let s = &mut self.sessions[si];
+        if s.x.open.is_empty() {
             return;
         }
-        let words = std::mem::take(&mut s.open);
+        let words = std::mem::take(&mut s.x.open);
         let q = &mut self.ingress[s.src.0];
-        q.push_back(Flit::head_tagged(s.dest, s.id.0 as u8));
+        q.push_back(Flit::head_tagged(s.x.dest, s.id.0 as u8));
         let last = words.len() - 1;
         for (i, &w) in words.iter().enumerate() {
             q.push_back(if i == last {
@@ -964,24 +813,22 @@ impl PacketFabric {
                     FlitKind::Body | FlitKind::Tail => {
                         self.words_delivered += 1;
                         let si = self.rx_stream[node.0][vc.index()]
-                            .and_then(|tag| self.by_id.get(&tag).copied())
+                            .and_then(|tag| self.sessions.index_of(StreamId(tag)))
                             // Tag numbering restarts at re-provision, so a
                             // leftover wormhole could alias a new stream's
                             // tag; only accept words whose destination
                             // matches the claimed session.
-                            .filter(|&si| self.streams[si].dst == node);
+                            .filter(|&si| self.sessions[si].dst == node);
                         // Unattributable words — an in-flight wormhole from
                         // a plan a re-provision replaced — are dropped (the
                         // conformance contract settles before
                         // re-provisioning; `words_delivered` still counts
                         // them at fabric level).
                         if let Some(si) = si {
-                            let s = &mut self.streams[si];
-                            if let Some(ts) = s.pending_ts.pop_front() {
-                                s.latency.record(self.now.0 - ts);
-                            }
-                            s.egress.push(flit.payload);
-                            s.delivered += 1;
+                            let now = self.now.0;
+                            let s = &mut self.sessions[si];
+                            let ts = s.x.pending_ts.pop_front();
+                            s.words.deliver(flit.payload, ts.map(|ts| now - ts));
                         }
                     }
                 }
@@ -991,18 +838,7 @@ impl PacketFabric {
         // 5. Finalise draining releases: a session retired with
         //    `ReleaseMode::Drain` stays registered until its last accepted
         //    word was delivered above, then closes loss-free.
-        if !self.draining.is_empty() {
-            self.draining.retain(|&si| {
-                let s = &mut self.streams[si];
-                if s.pending_ts.is_empty() {
-                    s.active = false;
-                    s.draining = false;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.sessions.poll_drains(|s| s.x.pending_ts.is_empty());
     }
 }
 
@@ -1061,13 +897,10 @@ impl Fabric for PacketFabric {
                 streams: streams.len(),
             });
         }
-        self.streams.clear();
-        self.by_id.clear();
-        self.draining.clear();
+        self.sessions.reset(streams.len() as u32);
         for slots in &mut self.rx_stream {
             slots.fill(None);
         }
-        self.next_id = streams.len() as u32;
         self.provisioned = true;
         let mut served = Vec::with_capacity(streams.len());
         for ms in streams {
@@ -1083,15 +916,7 @@ impl Fabric for PacketFabric {
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this packet fabric"));
-        assert!(self.streams[si].active, "{stream} was released");
-        assert!(
-            !self.streams[si].draining,
-            "{stream} is draining — admission is stopped"
-        );
+        let si = self.sessions.accepting(stream);
         for &word in words {
             self.push_word(si, word);
         }
@@ -1099,49 +924,26 @@ impl Fabric for PacketFabric {
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this packet fabric"));
-        std::mem::take(&mut self.streams[si].egress)
+        self.sessions.take_egress(stream)
     }
 
     fn stream_stats(&self) -> Vec<StreamStats> {
-        self.streams
+        self.sessions
             .iter()
-            .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: s.plane,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: 0,
-                latency: s.latency.clone(),
-                max_deflections: 0,
-            })
+            .map(|s| s.stats(s.x.plane, 0, 0))
             .collect()
     }
 
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&si) = self.by_id.get(&stream.0) else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        if !self.streams[si].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.streams[si].draining {
-            return Err(AdmitError::Draining(stream));
-        }
+        let si = self.sessions.releasable(stream)?;
         match mode {
             ReleaseMode::Drop => {
-                let s = &mut self.streams[si];
-                s.active = false;
+                self.sessions.close(si);
                 // Discard the staged (never-launched) words and exactly
                 // their timestamps — the tail of the FIFO. Words already
                 // on the wire keep theirs: they may still land after the
                 // release and must stay paired for the latency ledger.
+                let s = &mut self.sessions[si].x;
                 let staged = s.open.len();
                 s.open.clear();
                 let keep = s.pending_ts.len() - staged;
@@ -1152,15 +954,18 @@ impl Fabric for PacketFabric {
                 // everything accepted so far — and let `step_fabric`
                 // retire the session once the last word lands.
                 self.close_stream(si);
-                if self.streams[si].pending_ts.is_empty() {
-                    self.streams[si].active = false;
+                if self.sessions[si].x.pending_ts.is_empty() {
+                    self.sessions.close(si);
                 } else {
-                    self.streams[si].draining = true;
-                    self.draining.push(si);
+                    self.sessions.start_drain(si);
                 }
             }
         }
         Ok(())
+    }
+
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        self.sessions.is_active(stream)
     }
 
     /// Wormholes admit anything the coordinate space can address: a new
@@ -1170,19 +975,18 @@ impl Fabric for PacketFabric {
         if !self.provisioned {
             return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
         }
-        if self.next_id > 255 {
+        if self.sessions.next_id() > 255 {
             return Err(AdmitError::Unsupported(
                 "the head flit's 256-stream tag space is exhausted",
             ));
         }
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
+        let id = self.sessions.issue();
         self.register(id, demand.src, demand.dst, StreamPlane::Packet);
         Ok(id)
     }
 
     fn finish_injection(&mut self) {
-        for si in 0..self.streams.len() {
+        for si in 0..self.sessions.len() {
             self.close_stream(si);
         }
     }
@@ -1213,8 +1017,8 @@ impl Fabric for PacketFabric {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.draining.is_empty()
-            && self.streams.iter().all(|s| s.open.is_empty())
+        self.sessions.pending_drains() == 0
+            && self.sessions.iter().all(|s| s.x.open.is_empty())
             && self.ingress.iter().all(|q| q.is_empty())
             && (0..self.routers.len())
                 .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)
@@ -1293,6 +1097,10 @@ impl Fabric for Box<dyn Fabric> {
         (**self).admit(demand)
     }
 
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        (**self).stream_is_active(stream)
+    }
+
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
         (**self).can_admit_circuit(demand)
     }
@@ -1358,7 +1166,7 @@ impl Fabric for Box<dyn Fabric> {
 mod tests {
     use super::*;
     use crate::ccn::Ccn;
-    use crate::soc::Soc;
+    use crate::soc::{Soc, SOC_BACKEND};
     use crate::tile::default_tile_kinds;
     use noc_apps::taskgraph::{TaskGraph, TrafficShape};
     use noc_core::params::RouterParams;

@@ -47,6 +47,7 @@ use crate::deflection::DeflectionFabric;
 use crate::fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
 };
+use crate::session::{on_handle, Handles};
 use crate::soc::Soc;
 use crate::stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
@@ -60,7 +61,7 @@ use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_join, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 #[cfg(doc)]
 use crate::ccn::Ccn;
@@ -137,13 +138,6 @@ impl SpillPlane {
             SpillPlane::Deflection(d) => d,
         }
     }
-
-    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        match self {
-            SpillPlane::Packet(p) => p.stream_is_active(id),
-            SpillPlane::Deflection(d) => d.stream_is_active(id),
-        }
-    }
 }
 
 /// Which plane serves a hybrid session, with its plane-local handle.
@@ -155,17 +149,14 @@ enum PlaneSlot {
     Packet(StreamId),
 }
 
-/// One hybrid session: plane routing plus the path count feeding
-/// [`SpillStats::circuit_paths`].
+/// Where a hybrid handle points: the serving plane's session plus the
+/// path count feeding [`SpillStats::circuit_paths`]. The serving plane
+/// owns the session's lifecycle; the hybrid asks it.
 #[derive(Debug, Clone, Copy)]
-struct HybridStream {
+struct HybridHandle {
     slot: PlaneSlot,
     /// Parallel circuit paths (0 for packet-plane sessions).
     paths: usize,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]; the serving plane finalises
-    /// the teardown, and `step_planes` mirrors the result up here.
-    draining: bool,
 }
 
 /// A hybrid-switched network-on-chip: an owned circuit-switched [`Soc`]
@@ -176,14 +167,10 @@ struct HybridStream {
 pub struct HybridFabric {
     circuit: Soc,
     spill: SpillPlane,
-    /// Global session table; [`StreamId`] -> index via `by_id`.
-    table: Vec<HybridStream>,
-    by_id: BTreeMap<u32, usize>,
-    /// Table indices mid-drain, polled each cycle against their plane.
-    draining: Vec<usize>,
+    /// Global session handles, each routed to its serving plane.
+    handles: Handles<HybridHandle>,
     policy: ParPolicy,
     now: Cycle,
-    next_id: u32,
     words_on_circuit: u64,
     words_spilled: u64,
 }
@@ -236,12 +223,9 @@ impl HybridFabric {
         HybridFabric {
             circuit: Soc::new(mesh, router_params),
             spill,
-            table: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            handles: Handles::new(),
             policy: ParPolicy::Auto,
             now: Cycle::ZERO,
-            next_id: 0,
             words_on_circuit: 0,
             words_spilled: 0,
         }
@@ -291,10 +275,10 @@ impl HybridFabric {
     pub fn spill_stats(&self) -> SpillStats {
         SpillStats {
             circuit_paths: self
-                .table
+                .handles
                 .iter()
-                .filter(|s| s.active)
-                .map(|s| s.paths)
+                .filter(|(_, h)| self.is_live(h.slot))
+                .map(|(_, h)| h.paths)
                 .sum(),
             spilled_streams: self.active_spilled() as usize,
             words_on_circuit: self.words_on_circuit,
@@ -303,17 +287,31 @@ impl HybridFabric {
     }
 
     fn active_spilled(&self) -> u64 {
-        self.table
+        self.handles
             .iter()
-            .filter(|s| s.active && matches!(s.slot, PlaneSlot::Packet(_)))
+            .filter(|(_, h)| matches!(h.slot, PlaneSlot::Packet(_)) && self.is_live(h.slot))
             .count() as u64
     }
 
-    /// Whether stream `id` is live (`None` when the handle is unknown) —
-    /// the same composite-fabric drain probe the pure backends expose,
-    /// polled by layers that own a hybrid plane (`crate::chiplet`).
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&idx| self.table[idx].active)
+    /// The plane serving `slot`, with the plane-local handle.
+    fn plane(&self, slot: PlaneSlot) -> (&dyn Fabric, StreamId) {
+        match slot {
+            PlaneSlot::Circuit(local) => (&self.circuit, local),
+            PlaneSlot::Packet(local) => (self.spill.as_fabric(), local),
+        }
+    }
+
+    fn plane_mut(&mut self, slot: PlaneSlot) -> (&mut dyn Fabric, StreamId) {
+        match slot {
+            PlaneSlot::Circuit(local) => (&mut self.circuit, local),
+            PlaneSlot::Packet(local) => (self.spill.as_fabric_mut(), local),
+        }
+    }
+
+    /// Is the session behind `slot` still open or draining?
+    fn is_live(&self, slot: PlaneSlot) -> bool {
+        let (plane, local) = self.plane(slot);
+        plane.stream_is_active(local) == Some(true)
     }
 
     /// The GT/BE service gap: worst circuit-plane p95 latency versus best
@@ -363,33 +361,13 @@ impl HybridFabric {
         let spill = self.spill.as_fabric_mut();
         par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());
         self.now += 1;
-
-        // Mirror plane-finalised drains into the global session table: a
-        // `ReleaseMode::Drain` hands the teardown to the serving plane,
-        // which completes it loss-free once the stream's words are out.
-        if !self.draining.is_empty() {
-            let table = &mut self.table;
-            let (circuit, spill) = (&self.circuit, &self.spill);
-            self.draining.retain(|&idx| {
-                let done = match table[idx].slot {
-                    PlaneSlot::Circuit(local) => circuit.stream_is_active(local) == Some(false),
-                    PlaneSlot::Packet(local) => spill.stream_is_active(local) == Some(false),
-                };
-                if done {
-                    table[idx].active = false;
-                    table[idx].draining = false;
-                }
-                !done
-            });
-        }
     }
 
-    fn entry(&self, stream: StreamId) -> &HybridStream {
-        let &idx = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this hybrid fabric"));
-        &self.table[idx]
+    fn entry(&self, stream: StreamId) -> HybridHandle {
+        *self
+            .handles
+            .get(stream)
+            .unwrap_or_else(|| panic!("{stream} is not served by this hybrid fabric"))
     }
 }
 
@@ -465,11 +443,8 @@ impl Fabric for HybridFabric {
         };
         let packet_ids = self.spill.as_fabric_mut().provision(&spill_view)?;
 
-        self.table.clear();
-        self.by_id.clear();
-        self.draining.clear();
         let streams = mapping.streams();
-        self.next_id = streams.len() as u32;
+        self.handles.reset(streams.len() as u32);
         let mut served = Vec::with_capacity(streams.len());
         let mut circuit_it = circuit_ids.into_iter();
         let mut packet_it = packet_ids.into_iter();
@@ -482,14 +457,7 @@ impl Fabric for HybridFabric {
                 let local = packet_it.next().expect("one packet id per spilled stream");
                 (PlaneSlot::Packet(local), 0)
             };
-            let idx = self.table.len();
-            self.by_id.insert(ms.id.0, idx);
-            self.table.push(HybridStream {
-                slot,
-                paths,
-                active: true,
-                draining: false,
-            });
+            self.handles.insert(ms.id, HybridHandle { slot, paths });
             served.push(ms.id);
         }
         // Word accounting belongs to the plan being replaced; energy
@@ -500,30 +468,19 @@ impl Fabric for HybridFabric {
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let entry = *self.entry(stream);
-        assert!(entry.active, "{stream} was released");
-        assert!(
-            !entry.draining,
-            "{stream} is draining — admission is stopped"
-        );
-        match entry.slot {
-            PlaneSlot::Circuit(local) => {
-                self.circuit.inject_stream_words(local, words);
-                self.words_on_circuit += words.len() as u64;
-            }
-            PlaneSlot::Packet(local) => {
-                self.spill.as_fabric_mut().inject_stream(local, words);
-                self.words_spilled += words.len() as u64;
-            }
+        let slot = self.entry(stream).slot;
+        let (plane, local) = self.plane_mut(slot);
+        plane.inject_stream(local, words);
+        match slot {
+            PlaneSlot::Circuit(_) => self.words_on_circuit += words.len() as u64,
+            PlaneSlot::Packet(_) => self.words_spilled += words.len() as u64,
         }
         words.len()
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        match self.entry(stream).slot {
-            PlaneSlot::Circuit(local) => self.circuit.drain_stream_words(local),
-            PlaneSlot::Packet(local) => self.spill.as_fabric_mut().drain_stream(local),
-        }
+        let (plane, local) = self.plane_mut(self.entry(stream).slot);
+        plane.drain_stream(local)
     }
 
     /// Both planes' sessions under the hybrid's global handles. Circuit
@@ -544,11 +501,9 @@ impl Fabric for HybridFabric {
             .into_iter()
             .map(|s| (s.id.0, s))
             .collect();
-        let mut ids: Vec<u32> = self.by_id.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|gid| {
-                let entry = &self.table[self.by_id[&gid]];
+        self.handles
+            .iter()
+            .map(|(gid, entry)| {
                 let mut stats = match entry.slot {
                     PlaneSlot::Circuit(local) => circuit[&local.0].clone(),
                     PlaneSlot::Packet(local) => {
@@ -557,51 +512,37 @@ impl Fabric for HybridFabric {
                         s
                     }
                 };
-                stats.id = StreamId(gid);
+                stats.id = gid;
                 stats
             })
             .collect()
     }
 
+    /// The serving plane runs the release — a drain finalises there — and
+    /// its errors come back under the hybrid's handle.
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&idx) = self.by_id.get(&stream.0) else {
+        let Some(&entry) = self.handles.get(stream) else {
             return Err(AdmitError::UnknownStream(stream));
         };
-        if !self.table[idx].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.table[idx].draining {
-            return Err(AdmitError::Draining(stream));
-        }
-        let finalised = match self.table[idx].slot {
-            PlaneSlot::Circuit(local) => {
-                self.circuit.release_stream(local, mode)?;
-                self.circuit.stream_is_active(local) == Some(false)
-            }
-            PlaneSlot::Packet(local) => {
-                self.spill.as_fabric_mut().release(local, mode)?;
-                self.spill.stream_is_active(local) == Some(false)
-            }
-        };
-        if finalised {
-            self.table[idx].active = false;
-        } else {
-            // The plane accepted a drain and holds the stream until its
-            // words are out; mirror completion in `step_planes`.
-            self.table[idx].draining = true;
-            self.draining.push(idx);
-        }
-        Ok(())
+        let (plane, local) = self.plane_mut(entry.slot);
+        plane
+            .release(local, mode)
+            .map_err(|err| on_handle(err, stream))
+    }
+
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        let (plane, local) = self.plane(self.handles.get(stream)?.slot);
+        plane.stream_is_active(local)
     }
 
     /// Profiled re-admission: try the circuit plane first — CCN lane
     /// allocation against the live circuits, BE-delivered configuration
-    /// charged to the stream ([`Soc::admit_stream`]). A demand the
+    /// charged to the stream ([`Fabric::admit`] on [`Soc`]). A demand the
     /// circuit lanes still cannot take spills onto the gated packet
     /// plane instead (the stream reports [`StreamPlane::Spilled`]), so
     /// `admit` only errors when the ask is malformed for both planes.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        let (slot, paths) = match self.circuit.admit_stream(demand) {
+        let (slot, paths) = match self.circuit.admit(demand) {
             Ok(local) => {
                 // The lanes actually held, straight from the circuit
                 // plane's allocation.
@@ -614,16 +555,8 @@ impl Fabric for HybridFabric {
                 0,
             ),
         };
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
-        let idx = self.table.len();
-        self.by_id.insert(id.0, idx);
-        self.table.push(HybridStream {
-            slot,
-            paths,
-            active: true,
-            draining: false,
-        });
+        let id = self.handles.issue();
+        self.handles.insert(id, HybridHandle { slot, paths });
         Ok(id)
     }
 

@@ -82,6 +82,7 @@ pub mod fabric;
 pub mod hybrid;
 pub mod packet_mesh;
 pub mod reconfig;
+mod session;
 pub mod soc;
 pub mod stream;
 pub mod tile;

@@ -18,6 +18,10 @@
 
 use crate::be::{BeConfig, BeNetwork};
 use crate::ccn::{Ccn, EdgeRoute, Mapping};
+use crate::fabric::{
+    EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
+};
+use crate::session::SessionTable;
 use crate::stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
 };
@@ -28,21 +32,17 @@ use noc_core::lane::Port;
 use noc_core::params::RouterParams;
 use noc_core::phit::Phit;
 use noc_core::router::CircuitRouter;
+use noc_power::area::circuit_router_area;
 use noc_sim::activity::{ActivityLedger, ComponentActivity};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_commit, par_eval, ParPolicy};
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::{Cycle, CycleCount};
-use noc_sim::units::Bandwidth;
-use std::collections::{BTreeMap, VecDeque};
+use noc_sim::units::{Bandwidth, SquareMicroMeters};
+use std::collections::VecDeque;
 
-/// One provisioned circuit stream: the session state behind a
-/// [`StreamId`] on the circuit plane.
+/// A circuit session's own state: its lanes, word queues and setup.
 #[derive(Debug, Clone)]
-struct SocStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
+struct Circuit {
     /// The allocated circuit (kept whole so release can tear it down and
     /// runtime admission can count its lanes as occupied).
     route: EdgeRoute,
@@ -56,10 +56,6 @@ struct SocStream {
     /// delivery is FIFO per lane, so front-of-queue pairs with the next
     /// word captured on the path's RX lane).
     pending_ts: Vec<VecDeque<u64>>,
-    /// Delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
     /// BE-network configuration-delivery wait charged to this stream
     /// (zero for provision-time circuits).
     reconfig_cycles: u64,
@@ -69,12 +65,6 @@ struct SocStream {
     /// circuits only). Release cancels them: a dead stream's setup words
     /// must never land on lanes a newer circuit may hold by then.
     setup_msgs: Vec<u64>,
-    latency: LatencyHistogram,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: admission is stopped but the
-    /// lanes are held until the last accepted word is captured, at which
-    /// point [`Soc::step`] finalises the teardown.
-    draining: bool,
     /// Earliest teardown cycle of a drain whose words are all captured:
     /// the lanes are held one ack-flush window longer, because
     /// acknowledge pulses lag the last consumption by up to the circuit's
@@ -82,14 +72,19 @@ struct SocStream {
     quiesce_at: Option<u64>,
 }
 
+impl Circuit {
+    /// No word queued or in flight.
+    fn is_empty(&self) -> bool {
+        self.ingress.is_empty() && self.pending_ts.iter().all(VecDeque::is_empty)
+    }
+}
+
 /// The provisioned stream table behind the [`crate::fabric`] API: every
 /// circuit session with its lanes, queues and telemetry, plus the
 /// per-node source index the per-cycle TX pump walks.
 #[derive(Debug, Clone)]
 struct StreamPlan {
-    streams: Vec<SocStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
+    sessions: SessionTable<Circuit>,
     /// Per node: indices of *active* streams originating there.
     by_src: Vec<Vec<usize>>,
     /// Per node, per tile RX lane: which (stream, path) terminates there.
@@ -97,27 +92,19 @@ struct StreamPlan {
     /// Nodes with at least one entry ever in `rx_map` (collection skips
     /// the rest on the per-cycle hot path).
     rx_nodes: Vec<usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
     /// One lane's payload bandwidth, recorded from the mapping so runtime
     /// admission can re-run CCN lane allocation without a clock in hand.
     lane_capacity: Bandwidth,
-    /// Next session id (continues the mapping's numbering across
-    /// runtime admissions).
-    next_id: u32,
 }
 
 impl StreamPlan {
     fn new(mesh: &Mesh, lanes_per_port: usize, lane_capacity: Bandwidth) -> StreamPlan {
         StreamPlan {
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
+            sessions: SessionTable::new(),
             by_src: vec![Vec::new(); mesh.nodes()],
             rx_map: vec![vec![None; lanes_per_port]; mesh.nodes()],
             rx_nodes: Vec::new(),
-            draining: Vec::new(),
             lane_capacity,
-            next_id: 0,
         }
     }
 
@@ -139,7 +126,7 @@ impl StreamPlan {
             .iter()
             .map(|p| p.last().expect("non-empty path").out_lane)
             .collect();
-        let idx = self.streams.len();
+        let idx = self.sessions.len();
         for (j, &lane) in rx_lanes.iter().enumerate() {
             debug_assert!(self.rx_map[dst.0][lane].is_none(), "rx lane double-booked");
             self.rx_map[dst.0][lane] = Some((idx, j));
@@ -148,29 +135,36 @@ impl StreamPlan {
             self.rx_nodes.push(dst.0);
         }
         self.by_src[src.0].push(idx);
-        self.by_id.insert(id.0, idx);
         let paths = route.paths.len();
-        self.streams.push(SocStream {
-            id,
-            src,
-            dst,
+        let circuit = Circuit {
             route,
             tx_lanes,
             rx_lanes,
             ingress: VecDeque::new(),
             pending_ts: vec![VecDeque::new(); paths],
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
             reconfig_cycles,
             ready_at,
             setup_msgs,
-            latency: LatencyHistogram::new(),
-            active: true,
-            draining: false,
             quiesce_at: None,
-        });
-        idx
+        };
+        self.sessions.open(id, src, dst, circuit)
+    }
+
+    /// Re-run CCN lane allocation for `demand` against the lanes every
+    /// circuit still holds (draining ones included), claiming nothing.
+    fn route_for(
+        &self,
+        mesh: Mesh,
+        params: RouterParams,
+        demand: &StreamDemand,
+    ) -> Result<EdgeRoute, AdmitError> {
+        let occupied: Vec<EdgeRoute> = self
+            .sessions
+            .iter()
+            .filter(|s| s.active())
+            .map(|s| s.x.route.clone())
+            .collect();
+        Ccn::with_lane_capacity(mesh, params, self.lane_capacity).admit_stream(demand, &occupied)
     }
 }
 
@@ -222,7 +216,7 @@ impl Soc {
     /// ([`crate::be`]); this is the instantaneous path, equivalent in
     /// final router state (`be_configuration_matches_direct_configuration`
     /// in the end-to-end tests). Circuits admitted later at runtime
-    /// ([`Soc::admit_stream`]) *do* pay BE delivery latency.
+    /// ([`Fabric::admit`]) *do* pay BE delivery latency.
     ///
     /// [`Mapping::spilled`] entries are *not* served: a circuit-only SoC
     /// has no best-effort plane to put them on (their [`StreamId`]s stay
@@ -241,7 +235,7 @@ impl Soc {
     /// a router here: each stream's setup words are batched per router
     /// ([`EdgeRoute::config_words_by_node`]) and sent over the BE network
     /// from the CCN's corner node — exactly the runtime-admission path
-    /// ([`Soc::admit_stream`]) — so the cold-start delivery wait (paper
+    /// ([`Fabric::admit`]) — so the cold-start delivery wait (paper
     /// §5.1 budgets) is charged to each stream's `reconfig_cycles` and,
     /// through `ready_at`, to the measured latency of every word injected
     /// before the circuit materialises. Streams are sent in [`StreamId`]
@@ -283,9 +277,8 @@ impl Soc {
         let mut plan = StreamPlan::new(&self.mesh, params.lanes_per_port, mapping.lane_capacity);
         let mut served = Vec::new();
         let streams = mapping.streams();
-        plan.next_id = streams.len() as u32;
-        let now = self.now;
-        let ccn_node = self.mesh.node(0, 0);
+        plan.sessions.reset(streams.len() as u32);
+        let now = self.now.0;
         for ms in streams {
             let Some(route_idx) = ms.route else {
                 continue; // spilled: no circuit to serve it with
@@ -296,15 +289,8 @@ impl Soc {
                     plan.register(ms.id, route, 0, 0, Vec::new());
                 }
                 ProvisionMode::BeDelivered => {
-                    let by_node = route.config_words_by_node(&params);
-                    let mut ready = now;
-                    let mut setup_msgs = Vec::new();
-                    for (node, words) in by_node {
-                        let (delivery, msg) = self.be.send_tracked(now, ccn_node, node, &words);
-                        ready = Cycle(ready.0.max(delivery.0));
-                        setup_msgs.push(msg);
-                    }
-                    plan.register(ms.id, route, ready.0, ready.0 - now.0, setup_msgs);
+                    let (ready, setup_msgs) = self.send_setup(&route);
+                    plan.register(ms.id, route, ready, ready - now, setup_msgs);
                 }
             }
             self.tiles.set_capture(ms.dst.0, true);
@@ -314,125 +300,30 @@ impl Soc {
         Ok(served)
     }
 
-    /// Queue payload words on stream `id`. Words are tagged with the
-    /// current cycle (the latency clock starts at injection, so
-    /// serialisation backlog counts as service time) and drained onto the
-    /// stream's provisioned TX lanes, one phit per free lane per cycle.
-    /// Returns the number of words accepted (all of them — the ingress
-    /// queue is unbounded; its depth measures offered-load backlog).
-    ///
-    /// # Panics
-    /// Panics before [`Soc::provision`], on a handle this fabric does not
-    /// serve, or on a released stream.
-    pub fn inject_stream_words(&mut self, id: StreamId, words: &[u16]) -> usize {
-        let now = self.now.0;
-        let plan = self
-            .plan
-            .as_mut()
-            .expect("Soc::inject_stream_words before Soc::provision");
-        let &idx = plan
-            .by_id
-            .get(&id.0)
-            .unwrap_or_else(|| panic!("{id} is not served by this circuit fabric"));
-        let s = &mut plan.streams[idx];
-        assert!(s.active, "{id} was released");
-        assert!(!s.draining, "{id} is draining — admission is stopped");
-        s.ingress.extend(words.iter().map(|&w| (w, now)));
-        s.injected += words.len() as u64;
-        words.len()
-    }
-
-    /// Take the payload words stream `id` delivered since the last call
-    /// (in order — circuits are FIFO). Valid on released streams, whose
-    /// last deliveries may arrive after the release.
-    ///
-    /// # Panics
-    /// Panics before [`Soc::provision`] or on a handle this fabric does
-    /// not serve.
-    pub fn drain_stream_words(&mut self, id: StreamId) -> Vec<u16> {
-        let plan = self
-            .plan
-            .as_mut()
-            .expect("Soc::drain_stream_words before Soc::provision");
-        let &idx = plan
-            .by_id
-            .get(&id.0)
-            .unwrap_or_else(|| panic!("{id} is not served by this circuit fabric"));
-        std::mem::take(&mut plan.streams[idx].egress)
-    }
-
     /// Parallel circuit paths (lanes) stream `id` holds; `None` for
     /// handles this fabric does not serve. The authoritative lane count
     /// behind the hybrid's GT/BE split accounting.
     pub fn stream_path_count(&self, id: StreamId) -> Option<usize> {
         let plan = self.plan.as_ref()?;
-        let &idx = plan.by_id.get(&id.0)?;
-        Some(plan.streams[idx].route.paths.len())
+        let idx = plan.sessions.index_of(id)?;
+        Some(plan.sessions[idx].x.route.paths.len())
     }
 
-    /// Per-stream telemetry for every session the fabric has served since
-    /// the last [`Soc::provision`], released ones included.
-    pub fn stream_stats(&self) -> Vec<StreamStats> {
-        let Some(plan) = &self.plan else {
-            return Vec::new();
-        };
-        plan.streams
-            .iter()
-            .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: StreamPlane::Circuit,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: s.reconfig_cycles,
-                latency: s.latency.clone(),
-                max_deflections: 0,
-            })
-            .collect()
-    }
-
-    /// Retire stream `id` per `mode`. [`ReleaseMode::Drop`] tears the
-    /// circuit down now: its lanes are deactivated (one inactive
-    /// configuration word per held output lane) and returned to the free
-    /// pool runtime admission allocates from; undelivered ingress backlog
-    /// is discarded and words mid-circuit are dropped with the lanes.
-    /// [`ReleaseMode::Drain`] stops admission immediately but holds the
-    /// lanes until every accepted word has been captured — [`Soc::step`]
-    /// finalises the teardown loss-free once the pipeline is empty (a
-    /// stream with nothing in flight tears down at once). Either way the
-    /// handle stays valid for [`Soc::drain_stream_words`] /
-    /// [`Soc::stream_stats`], and the stream's telemetry reports
-    /// `active` until its teardown actually ran.
-    pub fn release_stream(&mut self, id: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(plan) = &mut self.plan else {
-            return Err(AdmitError::UnknownStream(id));
-        };
-        let Some(&idx) = plan.by_id.get(&id.0) else {
-            return Err(AdmitError::UnknownStream(id));
-        };
-        let s = &plan.streams[idx];
-        if !s.active {
-            return Err(AdmitError::UnknownStream(id));
+    /// Ship `route`'s configuration words over the BE network from the
+    /// CCN's corner node, batched per router; `step` applies each batch
+    /// when it falls due. Returns the cycle the circuit is ready and the
+    /// message ids (so a release can void them).
+    fn send_setup(&mut self, route: &EdgeRoute) -> (u64, Vec<u64>) {
+        let now = self.now;
+        let ccn_node = self.mesh.node(0, 0);
+        let mut ready = now;
+        let mut setup_msgs = Vec::new();
+        for (node, words) in route.config_words_by_node(&self.params) {
+            let (delivery, msg) = self.be.send_tracked(now, ccn_node, node, &words);
+            ready = Cycle(ready.0.max(delivery.0));
+            setup_msgs.push(msg);
         }
-        if s.draining {
-            return Err(AdmitError::Draining(id));
-        }
-        let empty = s.ingress.is_empty() && s.pending_ts.iter().all(VecDeque::is_empty);
-        let never_carried = s.delivered == 0;
-        match mode {
-            ReleaseMode::Drop => self.teardown_stream_at(idx),
-            // A drain on a stream that never moved a word is already
-            // complete — no capture happened, so no acknowledge can be in
-            // flight on the reverse wires.
-            ReleaseMode::Drain if empty && never_carried => self.teardown_stream_at(idx),
-            ReleaseMode::Drain => {
-                plan.streams[idx].draining = true;
-                plan.draining.push(idx);
-            }
-        }
-        Ok(())
+        (ready.0, setup_msgs)
     }
 
     /// Tear the circuit of stream index `idx` down and free its lanes —
@@ -441,31 +332,21 @@ impl Soc {
     fn teardown_stream_at(&mut self, idx: usize) {
         let params = self.params;
         let plan = self.plan.as_mut().expect("teardown needs a plan");
-        let (src, dst, tx_lanes, rx_lanes, setup_msgs) = {
-            let s = &mut plan.streams[idx];
-            s.active = false;
-            s.draining = false;
-            s.ingress.clear();
-            for q in &mut s.pending_ts {
-                q.clear();
-            }
-            (
-                s.src,
-                s.dst,
-                s.tx_lanes.clone(),
-                s.rx_lanes.clone(),
-                std::mem::take(&mut s.setup_msgs),
-            )
-        };
+        plan.sessions.close(idx);
+        let s = &mut plan.sessions[idx];
+        s.x.ingress.clear();
+        for q in &mut s.x.pending_ts {
+            q.clear();
+        }
+        let (src, dst) = (s.src, s.dst);
+        let (tx_lanes, rx_lanes) = (s.x.tx_lanes.clone(), s.x.rx_lanes.clone());
         // Void setup words still in flight on the BE network: once the
         // stream is dead its lanes may be re-admitted to a newer circuit,
         // and a late-landing stale configuration would clobber it.
-        for msg in setup_msgs {
+        for msg in std::mem::take(&mut s.x.setup_msgs) {
             self.be.cancel(msg);
         }
-        for (node, word) in
-            crate::reconfig::teardown_words_for_route(&plan.streams[idx].route, &params)
-        {
+        for (node, word) in crate::reconfig::teardown_words_for_route(&s.x.route, &params) {
             self.routers[node.0]
                 .apply_config_word(word)
                 .expect("teardown words are legal by construction");
@@ -488,98 +369,21 @@ impl Soc {
         }
     }
 
-    /// Is stream `id` still holding its circuit (`true` until a release
-    /// — including a [`ReleaseMode::Drain`]'s deferred teardown — has
-    /// actually run)? `None` for handles this fabric does not serve. A
-    /// cheap per-cycle poll for drain supervisors: no telemetry clones.
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        let plan = self.plan.as_ref()?;
-        let &idx = plan.by_id.get(&id.0)?;
-        Some(plan.streams[idx].active)
-    }
-
-    /// Would [`Soc::admit_stream`] put `demand` on circuit lanes right
-    /// now? A side-effect-free probe: the CCN's lane allocation is re-run
-    /// against the live circuits (draining streams still hold theirs)
-    /// without claiming anything — the feasibility check control-plane
-    /// policies use to avoid churning sessions on hopeless promotions.
-    pub fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
-        let Some(plan) = &self.plan else {
-            return false;
-        };
-        let occupied: Vec<EdgeRoute> = plan
-            .streams
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| s.route.clone())
-            .collect();
-        let ccn = Ccn::with_lane_capacity(self.mesh, self.params, plan.lane_capacity);
-        matches!(ccn.admit_stream(demand, &occupied), Ok(route) if !route.paths.is_empty())
-    }
-
-    /// Run-time admission: re-run CCN lane allocation for `demand`
-    /// against the lanes the live circuits hold (freed lanes of released
-    /// streams are admissible again), ship the new circuit's
-    /// configuration words over the BE network, and charge the delivery
-    /// wait (paper §5.1 budgets) to the new stream — words injected
-    /// before the configuration lands queue up and pay the wait in their
-    /// measured latency. Returns the new session handle.
-    pub fn admit_stream(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        let mesh = self.mesh;
-        let params = self.params;
-        let now = self.now;
-        let Some(plan) = &mut self.plan else {
-            return Err(AdmitError::Unsupported(
-                "admit needs a provisioned fabric (lane capacity comes from the mapping)",
-            ));
-        };
-        let occupied: Vec<EdgeRoute> = plan
-            .streams
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| s.route.clone())
-            .collect();
-        let ccn = Ccn::with_lane_capacity(mesh, params, plan.lane_capacity);
-        let route = ccn.admit_stream(demand, &occupied)?;
-        if route.paths.is_empty() {
-            return Err(AdmitError::Unsupported(
-                "on-tile demands need no NoC stream",
-            ));
-        }
-
-        // The new circuit's configuration rides the BE network from the
-        // CCN's corner node; `step` applies each batch when it falls due.
-        let by_node = route.config_words_by_node(&params);
-        let ccn_node = mesh.node(0, 0);
-        let mut ready = now;
-        let mut setup_msgs = Vec::new();
-        for (node, words) in by_node {
-            let (delivery, msg) = self.be.send_tracked(now, ccn_node, node, &words);
-            ready = Cycle(ready.0.max(delivery.0));
-            setup_msgs.push(msg);
-        }
-
-        let id = StreamId(plan.next_id);
-        plan.next_id += 1;
-        let dst = route.dst().expect("paths checked non-empty");
-        plan.register(id, route, ready.0, ready.0 - now.0, setup_msgs);
-        self.tiles.set_capture(dst.0, true);
-        Ok(id)
-    }
-
     /// Streams whose [`ReleaseMode::Drain`] teardown has not finalised
     /// yet (words still in flight, or lanes held for the ack-flush
     /// window). Outstanding work: a fabric with pending drains is not
     /// quiescent — their teardown still has to run inside `step`.
     pub fn pending_drains(&self) -> usize {
-        self.plan.as_ref().map_or(0, |p| p.draining.len())
+        self.plan
+            .as_ref()
+            .map_or(0, |p| p.sessions.pending_drains())
     }
 
     /// Total words queued for injection but not yet on the wire.
     pub fn ingress_backlog(&self) -> usize {
         self.plan
             .as_ref()
-            .map_or(0, |p| p.streams.iter().map(|s| s.ingress.len()).sum())
+            .map_or(0, |p| p.sessions.iter().map(|s| s.x.ingress.len()).sum())
     }
 
     /// Choose serial or pooled router evaluation (default
@@ -691,7 +495,7 @@ impl Soc {
             let now = self.now.0;
             for node in self.mesh.iter() {
                 for &si in &plan.by_src[node.0] {
-                    let s = &mut plan.streams[si];
+                    let s = &mut plan.sessions[si].x;
                     if s.ready_at > now {
                         continue;
                     }
@@ -725,13 +529,10 @@ impl Soc {
                     if words.is_empty() {
                         continue;
                     }
-                    let s = &mut plan.streams[si];
+                    let s = &mut plan.sessions[si];
                     for word in words {
-                        if let Some(ts) = s.pending_ts[pj].pop_front() {
-                            s.latency.record(now - ts);
-                        }
-                        s.egress.push(word);
-                        s.delivered += 1;
+                        let ts = s.x.pending_ts[pj].pop_front();
+                        s.words.deliver(word, ts.map(|ts| now - ts));
                     }
                 }
             }
@@ -742,34 +543,20 @@ impl Soc {
         //     word was captured above, then tears down loss-free. This
         //     runs in the serial section of the cycle, so drain timing is
         //     bit-identical under every `ParPolicy`.
-        if self
-            .plan
-            .as_ref()
-            .is_some_and(|plan| !plan.draining.is_empty())
-        {
-            let mut done = Vec::new();
-            {
-                let plan = self.plan.as_mut().expect("checked above");
-                let now = self.now.0;
-                for i in 0..plan.draining.len() {
-                    let idx = plan.draining[i];
-                    let s = &mut plan.streams[idx];
-                    if !(s.ingress.is_empty() && s.pending_ts.iter().all(VecDeque::is_empty)) {
-                        continue;
-                    }
-                    // All words captured — hold the lanes one ack-flush
-                    // window longer: acknowledge pulses lag the last
-                    // consumption by up to the circuit's hop count, and a
-                    // late ack must never hit a freshly reset window
-                    // counter.
-                    let margin = s.route.hops() as u64 + 4;
-                    let at = *s.quiesce_at.get_or_insert(now + margin);
-                    if now >= at {
-                        done.push(idx);
-                    }
+        if let Some(plan) = &mut self.plan {
+            let now = self.now.0;
+            let done = plan.sessions.poll_drains(|s| {
+                let s = &mut s.x;
+                if !s.is_empty() {
+                    return false;
                 }
-                plan.draining.retain(|idx| !done.contains(idx));
-            }
+                // All words captured — hold the lanes one ack-flush
+                // window longer: acknowledge pulses lag the last
+                // consumption by up to the circuit's hop count, and a
+                // late ack must never hit a freshly reset window counter.
+                let margin = s.route.hops() as u64 + 4;
+                now >= *s.quiesce_at.get_or_insert(now + margin)
+            });
             for idx in done {
                 self.teardown_stream_at(idx);
             }
@@ -836,6 +623,190 @@ impl Clocked for Soc {
 
     fn commit(&mut self) {
         self.step();
+    }
+}
+
+/// Backend label of the circuit-switched [`Soc`] in [`FabricSnapshot`]s.
+pub(crate) const SOC_BACKEND: &str = "circuit-soc";
+
+impl Fabric for Soc {
+    fn kind(&self) -> FabricKind {
+        FabricKind::Circuit
+    }
+
+    fn snapshot(&self) -> FabricSnapshot {
+        FabricSnapshot::new(SOC_BACKEND, self.clone())
+    }
+
+    fn restore(&mut self, snapshot: &FabricSnapshot) -> Result<(), SnapshotError> {
+        *self = snapshot.downcast::<Soc>(SOC_BACKEND)?.clone();
+        Ok(())
+    }
+
+    fn mesh(&self) -> &Mesh {
+        Soc::mesh(self)
+    }
+
+    fn now(&self) -> Cycle {
+        Soc::now(self)
+    }
+
+    fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
+        Soc::provision(self, mapping).map_err(ProvisionError::from)
+    }
+
+    fn provision_with(
+        &mut self,
+        mapping: &Mapping,
+        mode: ProvisionMode,
+    ) -> Result<Vec<StreamId>, ProvisionError> {
+        Soc::provision_with(self, mapping, mode).map_err(ProvisionError::from)
+    }
+
+    /// Words are tagged with the current cycle (the latency clock starts
+    /// at injection, so serialisation backlog counts as service time) and
+    /// drained onto the stream's provisioned TX lanes, one phit per free
+    /// lane per cycle. All are accepted: the ingress queue is unbounded
+    /// and its depth measures offered-load backlog.
+    ///
+    /// # Panics
+    /// Also panics before [`Soc::provision`].
+    fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
+        let now = self.now.0;
+        let plan = self.plan.as_mut().expect("inject_stream before provision");
+        let idx = plan.sessions.accepting(stream);
+        let s = &mut plan.sessions[idx];
+        s.x.ingress.extend(words.iter().map(|&w| (w, now)));
+        s.words.injected += words.len() as u64;
+        words.len()
+    }
+
+    /// # Panics
+    /// Also panics before [`Soc::provision`].
+    fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
+        self.plan
+            .as_mut()
+            .expect("drain_stream before provision")
+            .sessions
+            .take_egress(stream)
+    }
+
+    fn stream_stats(&self) -> Vec<StreamStats> {
+        let Some(plan) = &self.plan else {
+            return Vec::new();
+        };
+        plan.sessions
+            .iter()
+            .map(|s| s.stats(StreamPlane::Circuit, s.x.reconfig_cycles, 0))
+            .collect()
+    }
+
+    /// [`ReleaseMode::Drop`] tears the circuit down now: its lanes are
+    /// deactivated (one inactive configuration word per held output lane)
+    /// and returned to the free pool runtime admission allocates from;
+    /// undelivered ingress backlog is discarded and words mid-circuit are
+    /// dropped with the lanes. [`ReleaseMode::Drain`] holds the lanes
+    /// until every accepted word has been captured, and [`Soc::step`]
+    /// finalises the teardown one ack-flush window later.
+    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
+        let Some(plan) = &mut self.plan else {
+            return Err(AdmitError::UnknownStream(stream));
+        };
+        let idx = plan.sessions.releasable(stream)?;
+        let s = &plan.sessions[idx];
+        let empty = s.x.is_empty();
+        let never_carried = s.words.delivered == 0;
+        match mode {
+            ReleaseMode::Drop => self.teardown_stream_at(idx),
+            // A drain on a stream that never moved a word is already
+            // complete — no capture happened, so no acknowledge can be in
+            // flight on the reverse wires.
+            ReleaseMode::Drain if empty && never_carried => self.teardown_stream_at(idx),
+            ReleaseMode::Drain => plan.sessions.start_drain(idx),
+        }
+        Ok(())
+    }
+
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        self.plan.as_ref()?.sessions.is_active(stream)
+    }
+
+    /// Re-runs CCN lane allocation against the live circuits (draining
+    /// streams still hold theirs) without claiming anything.
+    fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
+        let Some(plan) = &self.plan else {
+            return false;
+        };
+        matches!(plan.route_for(self.mesh, self.params, demand), Ok(route) if !route.paths.is_empty())
+    }
+
+    /// Re-runs CCN lane allocation for `demand` against the lanes the live
+    /// circuits hold, ships the new circuit's configuration words over the
+    /// BE network and charges the delivery wait (paper §5.1 budgets) to
+    /// the new stream: words injected before the configuration lands
+    /// queue up and pay the wait in their measured latency.
+    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        let Some(plan) = &self.plan else {
+            return Err(AdmitError::Unsupported(
+                "admit needs a provisioned fabric (lane capacity comes from the mapping)",
+            ));
+        };
+        let route = plan.route_for(self.mesh, self.params, demand)?;
+        if route.paths.is_empty() {
+            return Err(AdmitError::Unsupported(
+                "on-tile demands need no NoC stream",
+            ));
+        }
+        let now = self.now.0;
+        let (ready, setup_msgs) = self.send_setup(&route);
+        let dst = route.dst().expect("paths checked non-empty");
+        let plan = self.plan.as_mut().expect("checked above");
+        let id = plan.sessions.issue();
+        plan.register(id, route, ready, ready - now, setup_msgs);
+        self.tiles.set_capture(dst.0, true);
+        Ok(id)
+    }
+
+    fn set_parallelism(&mut self, policy: ParPolicy) {
+        Soc::set_parallelism(self, policy)
+    }
+
+    fn step(&mut self) {
+        Soc::step(self)
+    }
+
+    fn activity(&self) -> Vec<ComponentActivity> {
+        Soc::activity(self)
+    }
+
+    fn clear_activity(&mut self) {
+        Soc::clear_activity(self)
+    }
+
+    fn is_quiescent(&self) -> bool {
+        let lanes = self.params.lanes_per_port;
+        // A pending drain is outstanding work even after its last word
+        // was captured: the teardown (deferred one ack-flush window)
+        // still has to run inside `step`, so "run until quiescent"
+        // drivers must keep stepping.
+        self.pending_drains() == 0
+            && self.ingress_backlog() == 0
+            && self
+                .mesh
+                .iter()
+                .all(|n| (0..lanes).all(|l| self.router(n).tile_rx_pending(l) == 0))
+    }
+
+    fn area(&self, model: &EnergyModel) -> SquareMicroMeters {
+        circuit_router_area(&self.params, model.estimator().tech()).total()
+            * self.mesh.nodes() as f64
+    }
+
+    fn total_overflows(&self) -> u64 {
+        self.mesh
+            .iter()
+            .map(|n| self.router(n).rx_overflows())
+            .sum()
     }
 }
 
@@ -1015,14 +986,14 @@ mod tests {
         let mut soc = Soc::new(mesh, RouterParams::paper());
         let ids = soc.provision(&mapping).unwrap();
         // Clear the seed stream so the interesting lanes start free.
-        soc.release_stream(ids[0], ReleaseMode::Drop).unwrap();
+        soc.release(ids[0], ReleaseMode::Drop).unwrap();
 
         let demand_a = StreamDemand {
             src: mesh.node(0, 0),
             dst: mesh.node(2, 0),
             demand: Bandwidth(150.0), // 2 lanes
         };
-        let id_a = soc.admit_stream(&demand_a).unwrap();
+        let id_a = soc.admit(&demand_a).unwrap();
         let a_ready = soc
             .stream_stats()
             .iter()
@@ -1032,14 +1003,14 @@ mod tests {
         assert!(a_ready > 0, "premise: A's setup is in flight");
         // Release A before its configuration lands; its lanes are free
         // again and its BE messages must be voided.
-        soc.release_stream(id_a, ReleaseMode::Drop).unwrap();
+        soc.release(id_a, ReleaseMode::Drop).unwrap();
 
         let demand_b = StreamDemand {
             src: mesh.node(1, 0),
             dst: mesh.node(2, 0),
             demand: Bandwidth(150.0), // 2 lanes, overlapping A's claims
         };
-        let id_b = soc.admit_stream(&demand_b).unwrap();
+        let id_b = soc.admit(&demand_b).unwrap();
         let b_ready = soc
             .stream_stats()
             .iter()
@@ -1051,10 +1022,8 @@ mod tests {
         soc.run(a_ready + b_ready + 64);
         let mut reference = Soc::new(mesh, RouterParams::paper());
         let ref_ids = reference.provision(&mapping).unwrap();
-        reference
-            .release_stream(ref_ids[0], ReleaseMode::Drop)
-            .unwrap();
-        let ref_b = reference.admit_stream(&demand_b).unwrap();
+        reference.release(ref_ids[0], ReleaseMode::Drop).unwrap();
+        let ref_b = reference.admit(&demand_b).unwrap();
         let ref_ready = reference
             .stream_stats()
             .iter()
@@ -1071,8 +1040,8 @@ mod tests {
         }
 
         // And B actually carries traffic on the cleanly configured lanes.
-        soc.inject_stream_words(id_b, &[0xB0, 0xB1, 0xB2]);
+        soc.inject_stream(id_b, &[0xB0, 0xB1, 0xB2]);
         soc.run(400);
-        assert_eq!(soc.drain_stream_words(id_b), vec![0xB0, 0xB1, 0xB2]);
+        assert_eq!(soc.drain_stream(id_b), vec![0xB0, 0xB1, 0xB2]);
     }
 }

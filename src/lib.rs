@@ -78,38 +78,12 @@
 //!     assert!(report.iter().all(|r| r.delivered_fraction > 0.9));
 //! }
 //! ```
-//!
-//! ## Migration from `AppRun::deploy`
-//!
-//! The old fixed five-positional-argument entry point still compiles (it
-//! delegates to the builder) but is deprecated:
-//!
-//! ```
-//! # #[allow(deprecated)]
-//! # fn main() {
-//! use rcs_noc::prelude::*;
-//!
-//! let mut graph = TaskGraph::new("demo");
-//! let src = graph.add_process("producer");
-//! let dst = graph.add_process("consumer");
-//! graph.add_edge(src, dst, Bandwidth(100.0), TrafficShape::Streaming, "demo edge");
-//!
-//! #[allow(deprecated)]
-//! let mut app = AppRun::deploy(&graph, Mesh::new(2, 2), RouterParams::paper(),
-//!                              MegaHertz(100.0), 42).unwrap();
-//! app.run(2000);
-//! let report = app.report(&graph);
-//! assert!(report.iter().all(|r| r.delivered_fraction > 0.9));
-//! # }
-//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod apprun;
 pub mod prelude;
 
-pub use apprun::{AppRun, RouteReport};
 pub use noc_mesh::deployment::{
     DeployError, Deployment, DeploymentBuilder, DeploymentSnapshot, FabricRouteReport,
 };

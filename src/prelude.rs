@@ -1,6 +1,5 @@
 //! One-stop imports for application code and examples.
 
-pub use crate::apprun::{AppRun, RouteReport};
 pub use noc_apps::drm::DrmParams;
 pub use noc_apps::hiperlan2::{Hiperlan2Params, Modulation};
 pub use noc_apps::scenarios::Scenario;

@@ -93,29 +93,6 @@ fn long_pipeline_across_whole_mesh() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_apprun_shim_still_deploys() {
-    // Migration coverage: the five-positional-argument entry point keeps
-    // its exact semantics (per-lane stats, BE-delivered configuration)
-    // while delegating mapping and provisioning to the builder.
-    let graph = pipeline(3, 60.0);
-    let mut app = AppRun::deploy(
-        &graph,
-        Mesh::new(3, 3),
-        RouterParams::paper(),
-        MegaHertz(100.0),
-        1,
-    )
-    .expect("feasible");
-    assert!(app.configured_at > Cycle::ZERO, "BE delivery time reported");
-    app.run(5_000);
-    for r in app.report(&graph) {
-        assert!(r.delivered_fraction > 0.9, "{:?}", r.labels);
-    }
-    assert_eq!(app.total_overflows(), 0);
-}
-
-#[test]
 fn streams_on_shared_ports_do_not_interfere() {
     // Two independent streams, forced through the same intermediate
     // router's East port on different lanes, each keep full throughput —

@@ -37,7 +37,13 @@
 //!    fresh fabric of the same backend and stepped to settlement is
 //!    bit-identical to the uninterrupted original: same delivered tail,
 //!    same telemetry, same energy bits. Checkpointing must be invisible
-//!    in results, exactly like pooled stepping.
+//!    in results, exactly like pooled stepping;
+//! 10. **Lifecycle errors** — releasing a never-issued handle, or one
+//!     already released, fails with `AdmitError::UnknownStream(id)`;
+//!     releasing a drain in progress fails with `AdmitError::Draining(id)`;
+//!     `stream_is_active` reads `None` for a never-issued handle,
+//!     `Some(true)` while draining and `Some(false)` after the teardown;
+//!     and `drain_stream` still collects on a closed handle.
 //!
 //! The suite is instantiated for all four backends — the circuit-switched
 //! `Soc`, the `PacketFabric` baseline, the `HybridFabric`, and the
@@ -437,6 +443,69 @@ fn conformance_under<F: Fabric>(mk: impl Fn() -> F, policy: ParPolicy) -> Lifecy
         live_energy,
         "{}: restored energy diverged",
         restored.kind()
+    );
+
+    // 10. Lifecycle errors: the release preconditions and the liveness
+    // probe, exactly. A handle is unknown until issued and again once
+    // released; a drain in progress refuses a second release; the probe
+    // tracks the drain to its teardown; a closed handle still drains.
+    let mut errs = mk();
+    let ids = errs.provision(&mapping).unwrap();
+    let id = ids[0];
+    let never = StreamId(1_000);
+    assert_eq!(
+        errs.release(never, ReleaseMode::Drop),
+        Err(AdmitError::UnknownStream(never)),
+        "{}: a never-issued handle is unknown",
+        errs.kind()
+    );
+    assert_eq!(errs.stream_is_active(never), None);
+    assert_eq!(errs.stream_is_active(id), Some(true));
+    errs.inject_stream(id, &words[..32]);
+    errs.run(6); // a few words on the wire, the rest queued
+    errs.release(id, ReleaseMode::Drain)
+        .expect("live streams drain");
+    assert_eq!(
+        errs.stream_is_active(id),
+        Some(true),
+        "{}: a draining stream is still active",
+        errs.kind()
+    );
+    assert_eq!(
+        errs.release(id, ReleaseMode::Drop),
+        Err(AdmitError::Draining(id)),
+        "{}: a drain in progress cannot be released again",
+        errs.kind()
+    );
+    let mut guard = 0;
+    while errs.stream_is_active(id) == Some(true) {
+        errs.run(32);
+        guard += 1;
+        assert!(guard < 1000, "{}: the drain never finalised", errs.kind());
+    }
+    assert_eq!(errs.stream_is_active(id), Some(false));
+    assert_eq!(
+        errs.drain_stream(id),
+        &words[..32],
+        "{}: a closed handle still drains",
+        errs.kind()
+    );
+    assert_eq!(
+        errs.release(id, ReleaseMode::Drain),
+        Err(AdmitError::UnknownStream(id)),
+        "{}: a drained stream is unknown to release",
+        errs.kind()
+    );
+    let demand = mapping.stream_demand(id).expect("demand recorded");
+    let again = errs.admit(&demand).expect("freed resources re-admit");
+    errs.release(again, ReleaseMode::Drop)
+        .expect("live streams release");
+    assert_eq!(errs.stream_is_active(again), Some(false));
+    assert_eq!(
+        errs.release(again, ReleaseMode::Drop),
+        Err(AdmitError::UnknownStream(again)),
+        "{}: releasing twice is unknown",
+        errs.kind()
     );
 
     LifecycleFingerprint {
