@@ -1,12 +1,12 @@
 //! Crossbar evaluation throughput against the lane count — the paper's
 //! "adjustable parameters in the design" ablation. Doubling lanes grows
-//! the mux structure (16→32 foreign inputs) and the flat lane loop, so the
+//! the mux structure (16→32 foreign inputs) and the active-lane loop, so the
 //! per-cycle cost rises; this bench quantifies the simulator-side cost of
 //! that design choice alongside the area/fmax models' silicon-side cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use noc_core::config::{ConfigEntry, ConfigMemory};
-use noc_core::crossbar::Crossbar;
+use noc_core::crossbar::{pack_acks, pack_nibbles, Crossbar};
 use noc_core::lane::{LaneIndex, Port};
 use noc_core::params::RouterParams;
 use noc_sim::activity::ActivityLedger;
@@ -41,8 +41,9 @@ fn bench_crossbar(c: &mut Criterion) {
         };
         let (mut xbar, cfg) = configured(params);
         let n = params.total_lanes();
-        let inputs: Vec<Nibble> = (0..n).map(|i| Nibble::new(i as u8)).collect();
-        let acks = vec![false; n];
+        let lanes_in: Vec<Nibble> = (0..n).map(|i| Nibble::new(i as u8)).collect();
+        let inputs = pack_nibbles(&lanes_in, lanes);
+        let acks = pack_acks(&vec![false; n], lanes);
         let mut ledger = ActivityLedger::new();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_function(BenchmarkId::from_parameter(lanes), |b| {

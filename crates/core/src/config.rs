@@ -151,29 +151,52 @@ impl fmt::Display for ConfigWord {
 /// [`ActivityClass::ConfigWrite`] events for the bits actually flipped plus
 /// [`ActivityClass::SelectToggle`] events for the crossbar select lines the
 /// write moves, which is what perturbs the data path.
+///
+/// Each write also resolves the entry's select to the input lane it reads
+/// and keeps a per-port mask of the active output lanes, so the crossbar's
+/// per-cycle evaluation decodes nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfigMemory {
     params: RouterParams,
-    entries: Vec<ConfigEntry>,
+    /// One slot per flat output lane.
+    slots: Vec<Slot>,
+    /// Per output port: bit `l` is set while that port's lane `l` is active.
+    active: [u64; Port::COUNT],
+}
+
+/// One output lane's entry and, while it is active, the input it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Slot {
+    entry: ConfigEntry,
+    tap: Tap,
+}
+
+/// An active entry's select resolved to the crossbar input it reads: the
+/// input port's index and the lane within that port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Tap {
+    pub(crate) port: u8,
+    pub(crate) lane: u8,
 }
 
 impl ConfigMemory {
     /// All-inactive memory (the reset state: every output lane off).
     pub fn new(params: RouterParams) -> ConfigMemory {
         ConfigMemory {
-            entries: vec![ConfigEntry::INACTIVE; params.total_lanes()],
+            slots: vec![Slot::default(); params.total_lanes()],
+            active: [0; Port::COUNT],
             params,
         }
     }
 
     /// The entry for flat output lane `out`.
     pub fn entry(&self, out: LaneIndex) -> ConfigEntry {
-        self.entries[out.get()]
+        self.slots[out.get()].entry
     }
 
     /// The entry for `(port, lane)`.
     pub fn entry_of(&self, port: Port, lane: usize) -> ConfigEntry {
-        self.entries[LaneIndex::of(port, lane, self.params.lanes_per_port).get()]
+        self.entry(LaneIndex::of(port, lane, self.params.lanes_per_port))
     }
 
     /// Apply one configuration word, recording write activity.
@@ -189,8 +212,13 @@ impl ConfigMemory {
 
     /// Directly write an entry (the testbench path; the BE network uses
     /// [`Self::apply`]). Records the same activity.
+    ///
+    /// # Panics
+    /// Panics if `entry` is active with a select outside the output port's
+    /// foreign lanes — callers validate selects first, as
+    /// [`ConfigWord::decode`] and the router's `configure_lane` do.
     pub fn write_entry(&mut self, out: LaneIndex, entry: ConfigEntry, ledger: &mut ActivityLedger) {
-        let old = self.entries[out.get()];
+        let old = self.slots[out.get()].entry;
         let flipped = old.packed_hamming(entry, &self.params);
         if flipped != 0 {
             ledger.add(ActivityClass::ConfigWrite, flipped as u64);
@@ -202,20 +230,55 @@ impl ConfigMemory {
                 + (old.active != entry.active) as u32;
             ledger.add(ActivityClass::SelectToggle, sel_flips as u64);
         }
-        self.entries[out.get()] = entry;
+        let lanes = self.params.lanes_per_port;
+        let (port, lane) = (out.port(lanes), out.lane(lanes));
+        let tap = if entry.active {
+            let input = self
+                .params
+                .select_to_input(port, entry.select)
+                .expect("active entries carry validated selects");
+            Tap {
+                port: input.port(lanes).index() as u8,
+                lane: input.lane(lanes) as u8,
+            }
+        } else {
+            Tap::default()
+        };
+        self.slots[out.get()] = Slot { entry, tap };
+        let bit = 1u64 << lane;
+        if entry.active {
+            self.active[port.index()] |= bit;
+        } else {
+            self.active[port.index()] &= !bit;
+        }
+    }
+
+    /// The active output lanes of `port` with the input each one reads,
+    /// in lane order: `(output lane, tap)`.
+    pub(crate) fn taps(&self, port: Port) -> impl Iterator<Item = (usize, Tap)> + '_ {
+        let base = port.index() * self.params.lanes_per_port;
+        let mut mask = self.active[port.index()];
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            Some((lane, self.slots[base + lane].tap))
+        })
     }
 
     /// Number of active output lanes.
     pub fn active_lanes(&self) -> usize {
-        self.entries.iter().filter(|e| e.active).count()
+        self.active.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Iterate `(flat output lane, entry)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (LaneIndex, ConfigEntry)> + '_ {
-        self.entries
+        self.slots
             .iter()
             .enumerate()
-            .map(|(i, &e)| (LaneIndex(i as u8), e))
+            .map(|(i, slot)| (LaneIndex(i as u8), slot.entry))
     }
 
     /// The full-router configuration as the word sequence the CCN would send

@@ -17,13 +17,17 @@
 
 use crate::params::RouterParams;
 use crate::phit::{Header, Phit};
-use noc_sim::activity::ActivityLedger;
+use noc_sim::activity::{ActivityClass, ActivityLedger};
 use noc_sim::bits::Nibble;
 use noc_sim::signal::Reg;
 use std::collections::VecDeque;
 
 /// Nibbles per phit on a 4-bit lane (header + four data nibbles).
 const FLITS: u8 = 5;
+
+/// Register bits of one serialiser or deserialiser: the [`Phit::WIRE_BITS`]
+/// (20-bit) shift register plus the 3-bit nibble counter.
+const SHIFTER_BITS: u32 = Phit::WIRE_BITS + 3;
 
 /// Transmit side: shifts one phit onto a lane, four bits per cycle.
 ///
@@ -119,8 +123,15 @@ impl TxSerializer {
     /// Clock edge. The shift register is physically [`Phit::WIRE_BITS`]
     /// (20) bits and the counter 3 bits, narrower than their backing types.
     pub fn commit(&mut self, ledger: &mut ActivityLedger) {
-        self.shift.clock_bits(ledger, Phit::WIRE_BITS);
-        self.remaining.clock_bits(ledger, 3);
+        ledger.add(ActivityClass::RegClock, u64::from(SHIFTER_BITS));
+        ledger.add(ActivityClass::RegToggle, u64::from(self.latch()));
+    }
+
+    /// Clock edge without a ledger: returns the register bits that
+    /// changed (every edge clocks the 23 bits [`TxSerializer::commit`]
+    /// charges).
+    pub(crate) fn latch(&mut self) -> u32 {
+        self.shift.latch() + self.remaining.latch()
     }
 }
 
@@ -182,9 +193,18 @@ impl RxDeserializer {
 
     /// Clock edge; returns the phit completed at this edge, if any.
     pub fn commit(&mut self, ledger: &mut ActivityLedger) -> Option<Phit> {
-        self.shift.clock_bits(ledger, Phit::WIRE_BITS);
-        self.count.clock_bits(ledger, 3);
-        self.completed.take()
+        let (toggles, phit) = self.latch();
+        ledger.add(ActivityClass::RegClock, u64::from(SHIFTER_BITS));
+        ledger.add(ActivityClass::RegToggle, u64::from(toggles));
+        phit
+    }
+
+    /// Clock edge without a ledger: returns the register bits that changed
+    /// and the phit completed at this edge, if any (every edge clocks the
+    /// 23 bits [`RxDeserializer::commit`] charges).
+    pub(crate) fn latch(&mut self) -> (u32, Option<Phit>) {
+        let toggles = self.shift.latch() + self.count.latch();
+        (toggles, self.completed.take())
     }
 
     /// `true` while mid-phit.
@@ -288,25 +308,30 @@ impl DataConverter {
     }
 
     /// Clock edge. Completed receive phits are moved into the tile-side
-    /// queues. Returns per-lane completion flags so the caller can drive
-    /// the ack generators.
-    pub fn commit(&mut self, ledger: &mut ActivityLedger, completions: &mut [bool]) {
+    /// queues. Returns the register bits that toggled and the phits
+    /// queued; every edge clocks all [`DataConverter::register_bits`], so
+    /// the caller charges the clock as a constant.
+    pub fn commit(&mut self) -> (u64, u64) {
+        let mut toggles = 0;
+        let mut queued = 0;
         for tx in &mut self.tx {
-            tx.commit(ledger);
+            toggles += u64::from(tx.latch());
         }
-        for (l, rx) in self.rx.iter_mut().enumerate() {
-            completions[l] = false;
-            if let Some(phit) = rx.commit(ledger) {
-                if self.rx_queues[l].len() >= self.rx_capacity {
+        for (rx, queue) in self.rx.iter_mut().zip(&mut self.rx_queues) {
+            let (flips, phit) = rx.latch();
+            toggles += u64::from(flips);
+            if let Some(phit) = phit {
+                if queue.len() >= self.rx_capacity {
                     // Impossible when the source respects its window; counted
                     // (not asserted) so misconfigured setups are observable.
                     self.rx_overflows += 1;
                 } else {
-                    self.rx_queues[l].push_back(phit);
-                    completions[l] = true;
+                    queue.push_back(phit);
+                    queued += 1;
                 }
             }
         }
+        (toggles, queued)
     }
 
     /// Number of lanes served.
@@ -330,8 +355,7 @@ impl DataConverter {
     /// the area model: per lane a 20-bit TX shift + 3-bit counter and a
     /// 20-bit RX shift + 3-bit counter.
     pub fn register_bits(params: &RouterParams) -> u32 {
-        let per_dir = Phit::WIRE_BITS + 3;
-        params.lanes_per_port as u32 * per_dir * 2
+        params.lanes_per_port as u32 * SHIFTER_BITS * 2
     }
 }
 
@@ -461,7 +485,6 @@ mod tests {
         assert_eq!(conv.lanes(), 4);
         // Manually stuff the rx queue beyond capacity via commit path.
         let mut ledger = ActivityLedger::new();
-        let mut completions = [false; 4];
         // Drive three phits into lane 0 without the tile consuming.
         let mut tx = TxSerializer::new();
         for i in 0..3 {
@@ -471,7 +494,7 @@ mod tests {
                 tx.eval();
                 conv.eval(&[nib, Nibble::ZERO, Nibble::ZERO, Nibble::ZERO]);
                 tx.commit(&mut ledger);
-                conv.commit(&mut ledger, &mut completions);
+                conv.commit();
             }
         }
         // Capacity 2: the third phit overflows (debug_assert only fires in

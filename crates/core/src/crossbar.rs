@@ -17,159 +17,235 @@
 //! clock-gating option — the paper's future work — is enabled, in which case
 //! inactive lanes are gated) and toggle energy per changed bit; the mux-tree
 //! capacitance is folded into the per-toggle coefficient by `noc-power`.
+//!
+//! Datapath layout: a port's lanes travel as one word. Data is
+//! nibble-packed into a `u64` — lane *l* at bits `4l..4l+4`, so a port holds
+//! up to [`MAX_LANES_PER_PORT`] lanes — and acknowledges are a bitmask with
+//! lane *l* at bit *l*. Evaluation is one shift-and-mask per active output
+//! (selects are resolved when the configuration is written), and a commit
+//! charges each port with popcounts of `q ^ d` under the lane clock enables.
 
 use crate::config::ConfigMemory;
-use crate::lane::LaneIndex;
+use crate::lane::{LaneIndex, Port};
 use crate::params::RouterParams;
-use noc_sim::activity::ActivityLedger;
+use noc_sim::activity::{ActivityClass, ActivityLedger};
 use noc_sim::bits::Nibble;
-use noc_sim::signal::Reg;
+
+/// Most lanes one port carries: a packed data word holds 16 nibbles.
+pub const MAX_LANES_PER_PORT: usize = 16;
+
+/// Nibble mask of lane `l` in a packed data word.
+#[inline]
+fn nibble_mask(l: usize) -> u64 {
+    0xF << (4 * l)
+}
+
+/// Pack flat per-lane nibbles ([`LaneIndex`] order) into one data word per
+/// port, lane `l` at bits `4l..4l+4` — the layout [`Crossbar::eval`] takes.
+pub fn pack_nibbles(lanes: &[Nibble], lanes_per_port: usize) -> Vec<u64> {
+    lanes
+        .chunks(lanes_per_port)
+        .map(|port| {
+            port.iter()
+                .enumerate()
+                .fold(0, |w, (l, n)| w | (u64::from(n.get()) << (4 * l)))
+        })
+        .collect()
+}
+
+/// Pack flat per-lane ack wires ([`LaneIndex`] order) into one bitmask per
+/// port, lane `l` at bit `l`.
+pub fn pack_acks(acks: &[bool], lanes_per_port: usize) -> Vec<u16> {
+    acks.chunks(lanes_per_port)
+        .map(|port| {
+            port.iter()
+                .enumerate()
+                .fold(0, |m, (l, &a)| m | (u16::from(a) << l))
+        })
+        .collect()
+}
 
 /// The switch fabric: per-output-lane muxes, output registers and the
-/// reverse acknowledge path.
+/// reverse acknowledge path, one packed word per port.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     params: RouterParams,
-    /// Registered data outputs, one per output lane.
-    out_regs: Vec<Reg<Nibble>>,
-    /// Registered ack outputs, one per *input* lane (the reverse path).
-    ack_regs: Vec<Reg<bool>>,
-    /// Which output lanes are currently active (cached from the config
-    /// memory during eval, used for clock gating at commit).
-    active: Vec<bool>,
-    /// Which *input* lanes feed an active output (the reverse ack path is
-    /// indexed by input lane, so its clock gating follows this, not
-    /// `active`).
-    ack_active: Vec<bool>,
-    /// Scratch buffer for the reverse ack computation, reused across cycles
-    /// to keep the per-cycle path allocation-free.
-    ack_scratch: Vec<bool>,
+    /// Registered data outputs per output port: latched (`q`) and next (`d`).
+    out_q: [u64; Port::COUNT],
+    out_d: [u64; Port::COUNT],
+    /// Registered ack outputs per *input* port (the reverse path).
+    ack_q: [u16; Port::COUNT],
+    ack_d: [u16; Port::COUNT],
+    /// Clock enables cached by the last eval for clock gating: the nibbles
+    /// of active output lanes, and the *input* lanes feeding an active
+    /// output (the reverse ack path is indexed by input lane, so its gating
+    /// follows the taps, not the outputs).
+    data_en: [u64; Port::COUNT],
+    ack_en: [u16; Port::COUNT],
+    /// Every lane of a port, as a data word and as an ack mask: the enables
+    /// of an ungated crossbar.
+    all_data: u64,
+    all_acks: u16,
 }
 
 impl Crossbar {
     /// A crossbar with all outputs idle (driving zero nibbles).
+    ///
+    /// # Panics
+    /// Panics if `params.lanes_per_port` exceeds [`MAX_LANES_PER_PORT`].
     pub fn new(params: RouterParams) -> Crossbar {
-        let n = params.total_lanes();
+        let lanes = params.lanes_per_port;
+        assert!(
+            lanes <= MAX_LANES_PER_PORT,
+            "{lanes} lanes per port exceed the packed datapath's {MAX_LANES_PER_PORT}"
+        );
         Crossbar {
             params,
-            out_regs: vec![Reg::new(Nibble::ZERO); n],
-            ack_regs: vec![Reg::new(false); n],
-            active: vec![false; n],
-            ack_active: vec![false; n],
-            ack_scratch: vec![false; n],
+            out_q: [0; Port::COUNT],
+            out_d: [0; Port::COUNT],
+            ack_q: [0; Port::COUNT],
+            ack_d: [0; Port::COUNT],
+            data_en: [0; Port::COUNT],
+            ack_en: [0; Port::COUNT],
+            all_data: (0..lanes).map(nibble_mask).fold(0, |m, n| m | n),
+            all_acks: (0..lanes).fold(0, |m, l| m | (1 << l)),
         }
     }
 
     /// Combinational evaluation.
     ///
-    /// * `inputs[i]` — the nibble sampled on flat input lane `i` this cycle;
-    /// * `acks_in[o]` — the ack wire arriving alongside output lane `o`
-    ///   (from the downstream router or the local tile);
+    /// * `inputs[p]` — the nibbles sampled on input port `p` this cycle,
+    ///   packed one lane per nibble;
+    /// * `acks_in[p]` — the ack wires arriving alongside output port `p`'s
+    ///   lanes (from the downstream router or the local tile), one bit per
+    ///   lane;
     /// * `config` — the configuration memory selecting inputs for outputs.
     ///
     /// # Panics
-    /// Panics if the slices do not match `params.total_lanes()` — a wiring
-    /// bug in the enclosing router, not a runtime condition.
-    #[allow(clippy::needless_range_loop)] // `o` indexes four parallel arrays
-    pub fn eval(&mut self, inputs: &[Nibble], acks_in: &[bool], config: &ConfigMemory) {
-        let n = self.params.total_lanes();
-        assert_eq!(inputs.len(), n, "input lane count mismatch");
-        assert_eq!(acks_in.len(), n, "ack wire count mismatch");
+    /// Panics unless both slices hold one word per port — a wiring bug in
+    /// the enclosing router, not a runtime condition.
+    pub fn eval(&mut self, inputs: &[u64], acks_in: &[u16], config: &ConfigMemory) {
+        assert_eq!(
+            inputs.len(),
+            Port::COUNT,
+            "input lane count mismatch: one packed word per port"
+        );
+        assert_eq!(
+            acks_in.len(),
+            Port::COUNT,
+            "ack wire count mismatch: one mask per port"
+        );
 
         // Forward data path: per-output 16:1 mux.
         // Reverse ack path: ack_out[input] = OR of acks of outputs fed by it
         // (OR supports the multicast case where several outputs listen to
         // one input; each branch destination acknowledges independently and
         // any ack credits the source conservatively).
-        self.ack_scratch.fill(false);
-        self.ack_active.fill(false);
-        let mut ack_next = std::mem::take(&mut self.ack_scratch);
-        for o in 0..n {
-            let entry = config.entry(LaneIndex(o as u8));
-            self.active[o] = entry.active;
-            let value = if entry.active {
-                let out_port = LaneIndex(o as u8).port(self.params.lanes_per_port);
-                let input = self
-                    .params
-                    .select_to_input(out_port, entry.select)
-                    .expect("config memory holds only validated selects");
-                self.ack_active[input.get()] = true;
-                if acks_in[o] {
-                    ack_next[input.get()] = true;
-                }
-                inputs[input.get()]
-            } else {
-                Nibble::ZERO
-            };
-            self.out_regs[o].set_next(value);
+        self.ack_d = [0; Port::COUNT];
+        self.ack_en = [0; Port::COUNT];
+        for port in Port::ALL {
+            let p = port.index();
+            let (mut data, mut en) = (0, 0);
+            for (l, tap) in config.taps(port) {
+                let (from, lane) = (usize::from(tap.port), usize::from(tap.lane));
+                data |= ((inputs[from] >> (4 * lane)) & 0xF) << (4 * l);
+                en |= nibble_mask(l);
+                self.ack_en[from] |= 1 << lane;
+                self.ack_d[from] |= ((acks_in[p] >> l) & 1) << lane;
+            }
+            self.out_d[p] = data;
+            self.data_en[p] = en;
         }
-        for (reg, &ack) in self.ack_regs.iter_mut().zip(&ack_next) {
-            reg.set_next(ack);
-        }
-        self.ack_scratch = ack_next;
     }
 
-    /// Clock edge: latch outputs, recording activity into `ledger`.
+    /// The clock enables of port `p`'s data and ack registers: every lane
+    /// ungated, only the lanes cached by the last eval under clock gating.
+    #[inline]
+    fn enables(&self, p: usize) -> (u64, u16) {
+        if self.params.clock_gating {
+            (self.data_en[p], self.ack_en[p])
+        } else {
+            (self.all_data, self.all_acks)
+        }
+    }
+
+    /// Clock edge: latch outputs, recording activity into `ledger` with one
+    /// add per class. Returns the bits that flipped on the four neighbour
+    /// ports — the toggles of the inter-router link wires those registers
+    /// drive.
     ///
     /// With `params.clock_gating` enabled, output lanes whose configuration
     /// entry is inactive hold for free — the paper's proposed fix for the
     /// dynamic-power offset ("we can use the configuration information of
     /// the router and switch off the unused lanes").
-    pub fn commit(&mut self, ledger: &mut ActivityLedger) {
-        let gating = self.params.clock_gating;
-        for (o, reg) in self.out_regs.iter_mut().enumerate() {
-            if gating && !self.active[o] {
-                reg.clock_gated();
-            } else {
-                reg.clock(ledger);
+    pub fn commit(&mut self, ledger: &mut ActivityLedger) -> u64 {
+        let (mut clocks, mut toggles, mut link) = (0, 0, 0);
+        for p in 0..Port::COUNT {
+            let (data_en, ack_en) = self.enables(p);
+            let data_flips = (self.out_q[p] ^ self.out_d[p]) & data_en;
+            let ack_flips = (self.ack_q[p] ^ self.ack_d[p]) & ack_en;
+            self.out_q[p] ^= data_flips;
+            self.ack_q[p] ^= ack_flips;
+            clocks += u64::from(data_en.count_ones() + ack_en.count_ones());
+            let flips = u64::from(data_flips.count_ones() + ack_flips.count_ones());
+            toggles += flips;
+            if p != Port::Tile.index() {
+                link += flips;
             }
         }
-        for (i, reg) in self.ack_regs.iter_mut().enumerate() {
-            if gating && !self.ack_active[i] {
-                reg.clock_gated();
-            } else {
-                reg.clock(ledger);
-            }
-        }
+        ledger.add(ActivityClass::RegClock, clocks);
+        ledger.add(ActivityClass::RegToggle, toggles);
+        link
     }
 
     /// The latched data output of flat lane `o`.
     #[inline]
     pub fn output(&self, o: LaneIndex) -> Nibble {
-        self.out_regs[o.get()].q()
+        let lanes = self.params.lanes_per_port;
+        let word = self.out_q[o.port(lanes).index()];
+        Nibble::new((word >> (4 * o.lane(lanes))) as u8)
     }
 
     /// The latched reverse ack leaving flat *input* lane `i` toward the
     /// upstream router.
     #[inline]
     pub fn ack_output(&self, i: LaneIndex) -> bool {
-        self.ack_regs[i.get()].q()
+        let lanes = self.params.lanes_per_port;
+        (self.ack_q[i.port(lanes).index()] >> i.lane(lanes)) & 1 != 0
     }
 
-    /// All latched data outputs in flat order (for link wiring loops).
-    pub fn outputs(&self) -> impl Iterator<Item = Nibble> + '_ {
-        self.out_regs.iter().map(|r| r.q())
+    /// The latched data outputs of `port`, packed one lane per nibble.
+    #[inline]
+    pub(crate) fn port_output(&self, port: Port) -> u64 {
+        self.out_q[port.index()]
+    }
+
+    /// The latched reverse acks leaving `port`'s input lanes, one bit per
+    /// lane.
+    #[inline]
+    pub(crate) fn port_acks(&self, port: Port) -> u16 {
+        self.ack_q[port.index()]
     }
 
     /// Every latched output at its reset value: zero data on all lanes, no
     /// acks. With all inputs also zero, the next commit holds every register
     /// (`d == q`) and charges only clock energy.
     pub fn all_parked(&self) -> bool {
-        self.out_regs.iter().all(|r| r.q() == Nibble::ZERO) && self.ack_regs.iter().all(|r| !r.q())
+        self.out_q.iter().all(|&w| w == 0) && self.ack_q.iter().all(|&m| m == 0)
     }
 
     /// RegClock bits one idle commit charges given the current gating state:
-    /// the constant part of the paper's dynamic-power offset. Depends on the
-    /// `active`/`ack_active` flags cached by the last eval, so it must be
+    /// the constant part of the paper's dynamic-power offset. The same
+    /// enables [`Crossbar::commit`] clocks, so both paths charge from one
+    /// width. Under gating they are cached by the last eval, so this must be
     /// re-read whenever the configuration memory changes.
     pub fn idle_clock_bits(&self) -> u64 {
-        if !self.params.clock_gating {
-            return self.params.total_lanes() as u64 * u64::from(self.params.lane_width + 1);
-        }
-        let data =
-            self.active.iter().filter(|&&a| a).count() as u64 * u64::from(self.params.lane_width);
-        let acks = self.ack_active.iter().filter(|&&a| a).count() as u64;
-        data + acks
+        (0..Port::COUNT)
+            .map(|p| {
+                let (data_en, ack_en) = self.enables(p);
+                u64::from(data_en.count_ones() + ack_en.count_ones())
+            })
+            .sum()
     }
 
     /// Number of architectural register bits in the crossbar (data outputs
@@ -208,7 +284,7 @@ mod tests {
     fn idle_crossbar_outputs_zero() {
         let (mut xbar, cfg, mut ledger) = setup();
         let inputs = vec![Nibble::MAX; 20];
-        xbar.eval(&inputs, &[false; 20], &cfg);
+        xbar.eval(&pack_nibbles(&inputs, 4), &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         for o in 0..20 {
             assert_eq!(xbar.output(LaneIndex(o)), Nibble::ZERO);
@@ -225,7 +301,7 @@ mod tests {
 
         let mut inputs = vec![Nibble::ZERO; 20];
         inputs[lane(Port::West, 1).get()] = Nibble::new(0xA);
-        xbar.eval(&inputs, &[false; 20], &cfg);
+        xbar.eval(&pack_nibbles(&inputs, 4), &[0; 5], &cfg);
         // Registered output: not visible before the edge.
         assert_eq!(xbar.output(lane(Port::East, 2)), Nibble::ZERO);
         xbar.commit(&mut ledger);
@@ -252,7 +328,7 @@ mod tests {
         let mut inputs = vec![Nibble::ZERO; 20];
         inputs[lane(Port::Tile, 0).get()] = Nibble::new(0x5);
         inputs[lane(Port::West, 0).get()] = Nibble::new(0xC);
-        xbar.eval(&inputs, &[false; 20], &cfg);
+        xbar.eval(&pack_nibbles(&inputs, 4), &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         assert_eq!(xbar.output(lane(Port::East, 0)), Nibble::new(0x5));
         assert_eq!(xbar.output(lane(Port::East, 1)), Nibble::new(0xC));
@@ -269,7 +345,7 @@ mod tests {
 
         let mut inputs = vec![Nibble::ZERO; 20];
         inputs[lane(Port::Tile, 0).get()] = Nibble::new(0x9);
-        xbar.eval(&inputs, &[false; 20], &cfg);
+        xbar.eval(&pack_nibbles(&inputs, 4), &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         assert_eq!(xbar.output(lane(Port::East, 0)), Nibble::new(0x9));
         assert_eq!(xbar.output(lane(Port::West, 0)), Nibble::new(0x9));
@@ -287,7 +363,7 @@ mod tests {
         let inputs = vec![Nibble::ZERO; 20];
         let mut acks = vec![false; 20];
         acks[lane(Port::East, 0).get()] = true;
-        xbar.eval(&inputs, &acks, &cfg);
+        xbar.eval(&pack_nibbles(&inputs, 4), &pack_acks(&acks, 4), &cfg);
         xbar.commit(&mut ledger);
         assert!(xbar.ack_output(lane(Port::Tile, 0)));
         assert!(!xbar.ack_output(lane(Port::Tile, 1)));
@@ -298,7 +374,7 @@ mod tests {
         let (mut xbar, cfg, mut ledger) = setup();
         let mut acks = vec![false; 20];
         acks[lane(Port::East, 0).get()] = true;
-        xbar.eval(&[Nibble::ZERO; 20], &acks, &cfg);
+        xbar.eval(&[0; 5], &pack_acks(&acks, 4), &cfg);
         xbar.commit(&mut ledger);
         for i in 0..20 {
             assert!(!xbar.ack_output(LaneIndex(i)));
@@ -311,7 +387,7 @@ mod tests {
         // consumption": the 100 register bits clock every cycle even with
         // no data (Section 7.3).
         let (mut xbar, cfg, mut ledger) = setup();
-        xbar.eval(&[Nibble::ZERO; 20], &[false; 20], &cfg);
+        xbar.eval(&[0; 5], &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         // 20 lanes x 4 data bits + 20 ack bits = 100 bits clocked.
         assert_eq!(ledger.get(ActivityClass::RegClock), 100);
@@ -327,7 +403,7 @@ mod tests {
         let mut xbar = Crossbar::new(p);
         let cfg = ConfigMemory::new(p);
         let mut ledger = ActivityLedger::new();
-        xbar.eval(&[Nibble::ZERO; 20], &[false; 20], &cfg);
+        xbar.eval(&[0; 5], &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         assert_eq!(ledger.get(ActivityClass::RegClock), 0);
     }
@@ -344,7 +420,7 @@ mod tests {
         let sel = p.foreign_select(Port::East, Port::Tile, 0).unwrap();
         cfg.write_entry(lane(Port::East, 0), ConfigEntry::active(sel), &mut ledger);
         ledger.clear();
-        xbar.eval(&[Nibble::ZERO; 20], &[false; 20], &cfg);
+        xbar.eval(&[0; 5], &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         // Exactly one active lane: 4 data bits + 1 ack bit clocked.
         assert_eq!(ledger.get(ActivityClass::RegClock), 5);
@@ -359,6 +435,6 @@ mod tests {
     #[should_panic(expected = "input lane count")]
     fn wrong_input_width_panics() {
         let (mut xbar, cfg, _) = setup();
-        xbar.eval(&[Nibble::ZERO; 19], &[false; 20], &cfg);
+        xbar.eval(&[0; 4], &[0; 5], &cfg);
     }
 }

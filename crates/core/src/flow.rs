@@ -120,18 +120,44 @@ impl WindowCounter {
         }
     }
 
-    /// Clock edge: latch the counter, record handshakes. The counter is
-    /// physically `ceil(log2(WC+1))` bits.
-    pub fn commit(&mut self, ledger: &mut ActivityLedger) {
-        if let FlowControlMode::Window { wc, .. } = self.mode {
-            let bits = (u16::BITS - wc.leading_zeros()).max(1);
-            self.credits.clock_bits(ledger, bits);
-            if self.ack_seen {
-                ledger.bump(ActivityClass::Handshake);
-            }
+    /// Register bits clocked on every edge: the credit counter, physically
+    /// `ceil(log2(WC+1))` bits (none in non-blocking mode).
+    pub(crate) fn clock_bits(&self) -> u32 {
+        match self.mode {
+            FlowControlMode::NonBlocking => 0,
+            FlowControlMode::Window { wc, .. } => bits_for_count(wc),
         }
-        self.ack_seen = false;
     }
+
+    /// Clock edge: latch the counter, record handshakes.
+    pub fn commit(&mut self, ledger: &mut ActivityLedger) {
+        let (toggles, handshake) = self.latch();
+        charge(ledger, self.clock_bits(), toggles, handshake);
+    }
+
+    /// Clock edge without a ledger: returns the counter bits that toggled
+    /// and whether an ack handshake completed (every edge clocks
+    /// [`WindowCounter::clock_bits`]).
+    pub(crate) fn latch(&mut self) -> (u32, bool) {
+        let edge = match self.mode {
+            FlowControlMode::NonBlocking => (0, false),
+            FlowControlMode::Window { .. } => (self.credits.latch(), self.ack_seen),
+        };
+        self.ack_seen = false;
+        edge
+    }
+}
+
+/// Bits of a counter that holds `0..=max`: `ceil(log2(max+1))`, at least 1.
+fn bits_for_count(max: u16) -> u32 {
+    (u16::BITS - max.leading_zeros()).max(1)
+}
+
+/// Charge one flow-control clock edge to `ledger`.
+fn charge(ledger: &mut ActivityLedger, clocks: u32, toggles: u32, handshake: bool) {
+    ledger.add(ActivityClass::RegClock, u64::from(clocks));
+    ledger.add(ActivityClass::RegToggle, u64::from(toggles));
+    ledger.add(ActivityClass::Handshake, u64::from(handshake));
 }
 
 /// Destination-side acknowledge generator.
@@ -181,14 +207,31 @@ impl AckGenerator {
         }
     }
 
-    /// Clock edge. The consumed counter is physically `ceil(log2(X+1))` bits.
+    /// Register bits clocked on every edge: the consumed counter,
+    /// physically `ceil(log2(X+1))` bits, plus the ack flop (none in
+    /// non-blocking mode).
+    pub(crate) fn clock_bits(&self) -> u32 {
+        match self.mode {
+            FlowControlMode::NonBlocking => 0,
+            FlowControlMode::Window { x, .. } => bits_for_count(x) + 1,
+        }
+    }
+
+    /// Clock edge.
     pub fn commit(&mut self, ledger: &mut ActivityLedger) {
-        if let FlowControlMode::Window { x, .. } = self.mode {
-            let bits = (u16::BITS - x.leading_zeros()).max(1);
-            self.consumed.clock_bits(ledger, bits);
-            self.ack_out.clock(ledger);
-            if self.ack_out.q() {
-                ledger.bump(ActivityClass::Handshake);
+        let (toggles, handshake) = self.latch();
+        charge(ledger, self.clock_bits(), toggles, handshake);
+    }
+
+    /// Clock edge without a ledger: returns the register bits that toggled
+    /// and whether an ack pulse is now on the wire (every edge clocks
+    /// [`AckGenerator::clock_bits`]).
+    pub(crate) fn latch(&mut self) -> (u32, bool) {
+        match self.mode {
+            FlowControlMode::NonBlocking => (0, false),
+            FlowControlMode::Window { .. } => {
+                let toggles = self.consumed.latch() + self.ack_out.latch();
+                (toggles, self.ack_out.q())
             }
         }
     }

@@ -8,8 +8,10 @@
 //! lane counts, crossbar shape, configuration field widths) so that every
 //! consumer computes them one way.
 
+use crate::crossbar::MAX_LANES_PER_PORT;
 use crate::error::ConfigError;
 use crate::lane::{LaneIndex, Port};
+use noc_sim::bits::{Bits, Nibble};
 use serde::{Deserialize, Serialize};
 
 /// Design-time parameters of a circuit-switched router.
@@ -86,6 +88,16 @@ impl RouterParams {
     pub fn flits_per_phit(&self) -> usize {
         let phit_bits = crate::phit::Header::BITS + u16::BITS;
         phit_bits.div_ceil(self.lane_width) as usize
+    }
+
+    /// Can the simulated circuit router carry this shape? A port's lanes
+    /// travel as one nibble-packed word (at most [`MAX_LANES_PER_PORT`])
+    /// and the data converter shifts 4-bit flits, so
+    /// [`CircuitRouter`](crate::router::CircuitRouter) needs `1..=16`
+    /// lanes per port of exactly 4 bits. Other shapes stay valid inputs to
+    /// the area and timing models.
+    pub fn fits_datapath(&self) -> bool {
+        (1..=MAX_LANES_PER_PORT).contains(&self.lanes_per_port) && self.lane_width == Nibble::WIDTH
     }
 
     /// Payload bits delivered per lane per `flits_per_phit()` cycles.

@@ -12,18 +12,29 @@
 //!
 //! Per-cycle protocol for the owner (testbench, mesh):
 //!
-//! 1. sample neighbour outputs from last cycle into this router's inputs
+//! 1. sample neighbour outputs from last cycle into this router's inputs,
+//!    a whole port at once (a neighbour's [`CircuitRouter::port_output`]
+//!    into [`CircuitRouter::set_port_input`]) or lane by lane
 //!    ([`CircuitRouter::set_link_input`], [`CircuitRouter::set_ack_input`]);
 //! 2. optionally exchange phits on the tile interface
 //!    ([`CircuitRouter::tile_send`], [`CircuitRouter::tile_recv`]);
-//! 3. `eval()` then `commit()` (or [`noc_sim::kernel::step`]).
+//! 3. `eval()` then `commit()` (or [`noc_sim::kernel::step`]). Eval reads
+//!    only this router's own registers and the inputs sampled in step 1,
+//!    and commit writes only its own registers, so once every router of a
+//!    mesh has been sampled each one may evaluate and commit back to back,
+//!    in any order or in parallel, with bit-identical results.
+//!
+//! The datapath is packed one word per port (see [`crate::crossbar`]):
+//! sampled inputs, crossbar registers and reverse acks are a nibble-packed
+//! `u64` or a lane bitmask per port, and a commit charges each ledger with
+//! one add per activity class.
 //!
 //! Activity is split over per-component ledgers matching the rows of the
 //! paper's Table 4, retrievable with [`CircuitRouter::activity`].
 
 use crate::config::{ConfigEntry, ConfigMemory, ConfigWord};
 use crate::converter::DataConverter;
-use crate::crossbar::Crossbar;
+use crate::crossbar::{Crossbar, MAX_LANES_PER_PORT};
 use crate::error::ConfigError;
 use crate::flow::{AckGenerator, FlowControlMode, WindowCounter};
 use crate::lane::{LaneIndex, Port};
@@ -32,7 +43,6 @@ use crate::phit::Phit;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
 use noc_sim::bits::Nibble;
 use noc_sim::kernel::Clocked;
-use noc_sim::signal::Wire;
 
 /// The reconfigurable circuit-switched router.
 #[derive(Debug, Clone)]
@@ -44,25 +54,19 @@ pub struct CircuitRouter {
     window_counters: Vec<WindowCounter>,
     ack_gens: Vec<AckGenerator>,
 
-    /// Sampled forward-data inputs, flat lane order (tile entries unused —
-    /// the converter drives those).
-    link_in: Vec<Nibble>,
-    /// Sampled reverse acks, indexed by *output* lane: `ack_in[o]` is the
-    /// ack arriving alongside output lane `o` from its downstream consumer.
-    ack_in: Vec<bool>,
+    /// Sampled forward-data inputs, one nibble-packed word per input port.
+    /// The tile word is the serialisers' output, refreshed by every eval.
+    link_in: [u64; Port::COUNT],
+    /// Sampled reverse acks, one mask per *output* port: bit `l` of
+    /// `ack_in[p]` is the ack arriving alongside output lane `l` of port
+    /// `p` from its downstream consumer. The tile mask is the local ack
+    /// generators' pulses, refreshed by every eval.
+    ack_in: [u16; Port::COUNT],
 
-    /// Observed link wires (data), neighbour lanes only; counts the extra
-    /// capacitance of inter-router wiring.
-    link_out_wires: Vec<Wire<Nibble>>,
-    /// Observed link wires (reverse ack), neighbour lanes only.
-    link_ack_wires: Vec<Wire<bool>>,
-
-    /// Tile lanes that accepted a phit since the last eval.
-    sent_this_cycle: Vec<bool>,
+    /// Tile lanes that accepted a phit since the last eval, one bit each.
+    sent_this_cycle: u16,
     /// Phits consumed by the tile per lane since the last eval.
-    consumed_this_cycle: Vec<u16>,
-    /// Scratch for converter completions.
-    completions: Vec<bool>,
+    consumed_this_cycle: [u16; MAX_LANES_PER_PORT],
 
     led_crossbar: ActivityLedger,
     led_config: ActivityLedger,
@@ -87,13 +91,15 @@ pub struct CircuitRouter {
     /// holds that nonzero sample until overwritten, so it needs one more
     /// zero sample after the first quiet commit before it may stop looking.
     quiet_prev: bool,
-    /// Idle-commit `RegClock` constants. The crossbar's depends on the
+    /// The crossbar's idle-commit `RegClock` constant. It depends on the
     /// gating option and the active configuration, so it is recomputed at
-    /// every settle; converter and flow control clock unconditionally and
-    /// are fixed at construction.
+    /// every settle.
     idle_crossbar: u64,
-    idle_converter: u64,
-    idle_flow: u64,
+    /// `RegClock` bits the converter and flow control charge on every
+    /// commit, idle or full: they clock unconditionally, so both are fixed
+    /// at construction.
+    converter_clocks: u64,
+    flow_clocks: u64,
 
     /// Phits accepted on the tile interface since construction.
     pub phits_sent: u64,
@@ -103,44 +109,39 @@ pub struct CircuitRouter {
 
 impl CircuitRouter {
     /// A router with all lanes unconfigured (every output idle).
+    ///
+    /// # Panics
+    /// Panics unless [`RouterParams::fits_datapath`] holds: one to
+    /// [`MAX_LANES_PER_PORT`] lanes per port, each `lane_width == 4` bits
+    /// wide. A port's lanes travel as one nibble-packed word, and the data
+    /// converter shifts 4-bit flits.
     pub fn new(params: RouterParams) -> CircuitRouter {
+        assert!(
+            params.fits_datapath(),
+            "the circuit router carries 1..={MAX_LANES_PER_PORT} lanes of 4 bits per port, \
+             not {} lanes of {} bits",
+            params.lanes_per_port,
+            params.lane_width
+        );
         let lanes = params.lanes_per_port;
-        let total = params.total_lanes();
         let mode = FlowControlMode::from_params(params.window_size, params.ack_batch);
+        let (window, acks) = (WindowCounter::new(mode), AckGenerator::new(mode));
         // Per-cycle clock charges of the unconditionally clocked parts: the
         // converter's shift registers and counters, and (in window mode)
         // each lane's credit counter, consumed counter and ack flop. See
         // `idle_fast_path_charges_match_full_path` for the exactness proof.
-        let idle_converter = u64::from(DataConverter::register_bits(&params));
-        let idle_flow = match mode {
-            FlowControlMode::NonBlocking => 0,
-            FlowControlMode::Window { wc, x } => {
-                let bits = |v: u16| u64::from((u16::BITS - v.leading_zeros()).max(1));
-                lanes as u64 * (bits(wc) + bits(x) + 1)
-            }
-        };
+        let converter_clocks = u64::from(DataConverter::register_bits(&params));
+        let flow_clocks = lanes as u64 * u64::from(window.clock_bits() + acks.clock_bits());
         CircuitRouter {
             config: ConfigMemory::new(params),
             crossbar: Crossbar::new(params),
             converter: DataConverter::new(&params),
-            window_counters: vec![WindowCounter::new(mode); lanes],
-            ack_gens: vec![AckGenerator::new(mode); lanes],
-            link_in: vec![Nibble::ZERO; total],
-            ack_in: vec![false; total],
-            link_out_wires: vec![
-                Wire::new(
-                    Nibble::ZERO,
-                    noc_sim::activity::ActivityClass::LinkToggle
-                );
-                total
-            ],
-            link_ack_wires: vec![
-                Wire::new(false, noc_sim::activity::ActivityClass::LinkToggle);
-                total
-            ],
-            sent_this_cycle: vec![false; lanes],
-            consumed_this_cycle: vec![0; lanes],
-            completions: vec![false; lanes],
+            window_counters: vec![window; lanes],
+            ack_gens: vec![acks; lanes],
+            link_in: [0; Port::COUNT],
+            ack_in: [0; Port::COUNT],
+            sent_this_cycle: 0,
+            consumed_this_cycle: [0; MAX_LANES_PER_PORT],
             led_crossbar: ActivityLedger::new(),
             led_config: ActivityLedger::new(),
             led_converter: ActivityLedger::new(),
@@ -152,8 +153,8 @@ impl CircuitRouter {
             quiet: false,
             quiet_prev: false,
             idle_crossbar: 0,
-            idle_converter,
-            idle_flow,
+            converter_clocks,
+            flow_clocks,
             phits_sent: 0,
             phits_received: 0,
             params,
@@ -240,12 +241,14 @@ impl CircuitRouter {
             port.is_neighbour(),
             "tile lanes are driven by the converter"
         );
+        debug_assert!(lane < self.params.lanes_per_port, "lane out of range");
         // Zero over zero cannot unsettle; zero over nonzero implies the
         // previous sample was nonzero, so the router is already unsettled.
         if value != Nibble::ZERO {
             self.inbox = true;
         }
-        self.link_in[LaneIndex::of(port, lane, self.params.lanes_per_port).get()] = value;
+        let word = &mut self.link_in[port.index()];
+        *word = (*word & !(0xF << (4 * lane))) | (u64::from(value.get()) << (4 * lane));
     }
 
     /// Sample the reverse ack arriving for *output* lane `(port, lane)` —
@@ -253,10 +256,40 @@ impl CircuitRouter {
     /// that lane has pulsed its acknowledge wire.
     pub fn set_ack_input(&mut self, port: Port, lane: usize, ack: bool) {
         debug_assert!(port.is_neighbour());
+        debug_assert!(lane < self.params.lanes_per_port, "lane out of range");
+        let mask = &mut self.ack_in[port.index()];
         if ack {
             self.inbox = true;
+            *mask |= 1 << lane;
+        } else {
+            *mask &= !(1 << lane);
         }
-        self.ack_in[LaneIndex::of(port, lane, self.params.lanes_per_port).get()] = ack;
+    }
+
+    /// Sample a whole neighbour port this cycle: `data` carries lane `l`'s
+    /// nibble at bits `4l..4l+4`, and bit `l` of `acks` is the reverse ack
+    /// arriving for output lane `l` — the layout a neighbour's
+    /// [`CircuitRouter::port_output`] returns for the facing port.
+    pub fn set_port_input(&mut self, port: Port, data: u64, acks: u16) {
+        debug_assert!(port.is_neighbour());
+        // As in `set_link_input`: only a nonzero sample can unsettle.
+        if data != 0 || acks != 0 {
+            self.inbox = true;
+        }
+        self.link_in[port.index()] = data;
+        self.ack_in[port.index()] = acks;
+    }
+
+    /// Everything this router drives onto the link leaving `port` (latched;
+    /// valid after `commit`): the data word of its output lanes, packed
+    /// like [`CircuitRouter::set_port_input`]'s `data`, and the acks it
+    /// returns upstream for the data entering on that port's lanes.
+    #[inline]
+    pub fn port_output(&self, port: Port) -> (u64, u16) {
+        (
+            self.crossbar.port_output(port),
+            self.crossbar.port_acks(port),
+        )
     }
 
     /// The forward-data nibble this router transmits on `(port, lane)`
@@ -299,7 +332,7 @@ impl CircuitRouter {
         if !self.converter.try_send(lane, phit) {
             return false;
         }
-        self.sent_this_cycle[lane] = true;
+        self.sent_this_cycle |= 1 << lane;
         self.phits_sent += 1;
         self.inbox = true;
         true
@@ -379,41 +412,41 @@ impl Clocked for CircuitRouter {
 
         // 1. Tile-side converter: deserialisers absorb last cycle's crossbar
         //    outputs on the tile port; serialisers advance.
-        let mut rx_nibbles = [Nibble::ZERO; 16];
-        debug_assert!(lanes <= rx_nibbles.len());
+        let tile_out = self.crossbar.port_output(Port::Tile);
+        let mut rx_nibbles = [Nibble::ZERO; MAX_LANES_PER_PORT];
         for (l, nib) in rx_nibbles.iter_mut().enumerate().take(lanes) {
-            *nib = self.crossbar.output(LaneIndex::of(Port::Tile, l, lanes));
+            *nib = Nibble::new((tile_out >> (4 * l)) as u8);
         }
         self.converter.eval(&rx_nibbles[..lanes]);
 
         // 2. Flow control: window counters see this cycle's accepted sends
         //    and the latched reverse acks; ack generators see tile reads.
-        for l in 0..lanes {
-            let ack_back = self
-                .crossbar
-                .ack_output(LaneIndex::of(Port::Tile, l, lanes));
-            self.window_counters[l].eval(self.sent_this_cycle[l], ack_back);
-            self.ack_gens[l].eval(self.consumed_this_cycle[l]);
-            self.sent_this_cycle[l] = false;
-            self.consumed_this_cycle[l] = 0;
+        let acks_back = self.crossbar.port_acks(Port::Tile);
+        let lanes_flow = self
+            .window_counters
+            .iter_mut()
+            .zip(&mut self.ack_gens)
+            .zip(&mut self.consumed_this_cycle);
+        for (l, ((window, acks), consumed)) in lanes_flow.enumerate() {
+            let sent = (self.sent_this_cycle >> l) & 1 != 0;
+            window.eval(sent, (acks_back >> l) & 1 != 0);
+            acks.eval(*consumed);
+            *consumed = 0;
         }
+        self.sent_this_cycle = 0;
 
-        // 3. Crossbar: forward muxing + reverse ack routing. Tile input
-        //    lanes carry the serialiser outputs; tile output lanes receive
-        //    the local ack generators' pulses.
-        let total = self.params.total_lanes();
-        let mut inputs = std::mem::take(&mut self.link_in);
+        // 3. Crossbar: forward muxing + reverse ack routing. The tile input
+        //    port carries the serialiser outputs; the tile output port
+        //    receives the local ack generators' pulses.
+        let (mut tx, mut pulses) = (0, 0);
         for l in 0..lanes {
-            inputs[LaneIndex::of(Port::Tile, l, lanes).get()] = self.converter.tx_nibble(l);
+            tx |= u64::from(self.converter.tx_nibble(l).get()) << (4 * l);
+            pulses |= u16::from(self.ack_gens[l].ack()) << l;
         }
-        let mut acks = std::mem::take(&mut self.ack_in);
-        for l in 0..lanes {
-            acks[LaneIndex::of(Port::Tile, l, lanes).get()] = self.ack_gens[l].ack();
-        }
-        self.crossbar.eval(&inputs, &acks, &self.config);
-        self.link_in = inputs;
-        self.ack_in = acks;
-        debug_assert_eq!(self.link_in.len(), total);
+        self.link_in[Port::Tile.index()] = tx;
+        self.ack_in[Port::Tile.index()] = pulses;
+        self.crossbar
+            .eval(&self.link_in, &self.ack_in, &self.config);
     }
 
     fn commit(&mut self) {
@@ -427,36 +460,35 @@ impl Clocked for CircuitRouter {
             self.led_crossbar
                 .add(ActivityClass::RegClock, self.idle_crossbar);
             self.led_converter
-                .add(ActivityClass::RegClock, self.idle_converter);
-            self.led_flow.add(ActivityClass::RegClock, self.idle_flow);
+                .add(ActivityClass::RegClock, self.converter_clocks);
+            self.led_flow.add(ActivityClass::RegClock, self.flow_clocks);
             self.quiet_prev = self.quiet;
             return;
         }
-        self.crossbar.commit(&mut self.led_crossbar);
-        self.converter
-            .commit(&mut self.led_converter, &mut self.completions);
-        for done in &self.completions {
-            self.phits_received += u64::from(*done);
-        }
-        for wc in &mut self.window_counters {
-            wc.commit(&mut self.led_flow);
-        }
-        for ag in &mut self.ack_gens {
-            ag.commit(&mut self.led_flow);
-        }
+        // The inter-router wires carry the neighbour ports' latched outputs
+        // and acks; their toggles are the link-capacitance share of the
+        // power. Those registers change only at full commits, each of which
+        // drives the wires with the fresh values, so the wire toggles are
+        // exactly the neighbour-port register flips the crossbar reports.
+        let link = self.crossbar.commit(&mut self.led_crossbar);
+        self.led_link.add(ActivityClass::LinkToggle, link);
 
-        // Drive the inter-router wires with the freshly latched outputs and
-        // acks; their toggles are the link-capacitance share of the power.
-        let lanes = self.params.lanes_per_port;
-        for port in Port::NEIGHBOURS {
-            for l in 0..lanes {
-                let idx = LaneIndex::of(port, l, lanes).get();
-                let data = self.crossbar.output(LaneIndex(idx as u8));
-                self.link_out_wires[idx].drive(data, &mut self.led_link);
-                let ack = self.crossbar.ack_output(LaneIndex(idx as u8));
-                self.link_ack_wires[idx].drive(ack, &mut self.led_link);
+        let (toggles, queued) = self.converter.commit();
+        self.phits_received += queued;
+        self.led_converter
+            .add(ActivityClass::RegClock, self.converter_clocks);
+        self.led_converter.add(ActivityClass::RegToggle, toggles);
+
+        let (mut toggles, mut handshakes) = (0, 0);
+        for (window, acks) in self.window_counters.iter_mut().zip(&mut self.ack_gens) {
+            for (flips, handshake) in [window.latch(), acks.latch()] {
+                toggles += u64::from(flips);
+                handshakes += u64::from(handshake);
             }
         }
+        self.led_flow.add(ActivityClass::RegClock, self.flow_clocks);
+        self.led_flow.add(ActivityClass::RegToggle, toggles);
+        self.led_flow.add(ActivityClass::Handshake, handshakes);
 
         // Settle assessment. The router may take the fast path next cycle
         // iff evaluation from this state under zero inputs is the identity:
@@ -467,13 +499,13 @@ impl Clocked for CircuitRouter {
         self.quiet_prev = self.quiet;
         self.quiet = parked;
         self.settled = parked
-            && self.link_in.iter().all(|&n| n == Nibble::ZERO)
-            && self.ack_in.iter().all(|&a| !a)
+            && self.link_in.iter().all(|&w| w == 0)
+            && self.ack_in.iter().all(|&m| m == 0)
             && self.converter.is_idle()
             && self.ack_gens.iter().all(|ag| !ag.ack());
         if self.settled {
             // Gating makes the crossbar's idle charge configuration-
-            // dependent; read it from the flags the last eval cached.
+            // dependent; read it from the enables the last eval cached.
             self.idle_crossbar = self.crossbar.idle_clock_bits();
         }
         self.inbox = false;
@@ -863,6 +895,46 @@ mod tests {
         step(&mut r);
         assert_eq!(r.link_output(Port::East, 0), Nibble::ZERO);
         assert_eq!(r.link_output(Port::East, 2), Nibble::new(0x3));
+    }
+
+    #[test]
+    fn sixteen_lane_ports_carry_the_top_lane_and_its_ack() {
+        // Lane 15 is the top nibble of a port's data word and bit 15 of its
+        // ack mask. Route West.15 -> East.15 and check data and the
+        // returning ack through the per-lane and the per-port views.
+        let p = RouterParams {
+            lanes_per_port: 16,
+            ..RouterParams::paper()
+        };
+        let mut r = CircuitRouter::new(p);
+        r.connect(Port::West, 15, Port::East, 15).unwrap();
+        r.set_link_input(Port::West, 15, Nibble::new(0xD));
+        r.set_ack_input(Port::East, 15, true);
+        step(&mut r);
+        assert_eq!(r.link_output(Port::East, 15), Nibble::new(0xD));
+        assert!(r.ack_to_upstream(Port::West, 15));
+        assert_eq!(r.port_output(Port::East), (0xD << 60, 0));
+        assert_eq!(r.port_output(Port::West), (0, 1 << 15));
+
+        // The same transfer sampled a whole port at a time.
+        r.set_port_input(Port::West, 0x7 << 60, 0);
+        r.set_port_input(Port::East, 0, 0);
+        step(&mut r);
+        assert_eq!(r.link_output(Port::East, 15), Nibble::new(0x7));
+        assert!(!r.ack_to_upstream(Port::West, 15), "ack pulse falls");
+        for lane in 0..15 {
+            assert_eq!(r.link_output(Port::East, lane), Nibble::ZERO);
+            assert!(!r.ack_to_upstream(Port::West, lane));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes of 4 bits per port")]
+    fn lanes_beyond_the_packed_word_panic_at_construction() {
+        CircuitRouter::new(RouterParams {
+            lanes_per_port: 17,
+            ..RouterParams::paper()
+        });
     }
 
     #[test]

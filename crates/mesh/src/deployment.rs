@@ -400,18 +400,56 @@ impl<'g> DeploymentBuilder<'g> {
         Ok(())
     }
 
-    /// Fabric + mapping for a chiplet build ([`DeploymentBuilder::chiplets`]).
-    fn build_chiplet_parts(
+    /// Pre-check the circuit router's shape on every path that builds a
+    /// [`Soc`] (flat, hybrid or chiplet plane), so a router the packed
+    /// datapath cannot carry surfaces as an error, not as
+    /// `CircuitRouter::new`'s panic.
+    fn check_router_params(&self) -> Result<(), DeployError> {
+        let params = self.router_params;
+        if !params.fits_datapath() {
+            return Err(ProvisionError::UnsupportedRouter {
+                lanes_per_port: params.lanes_per_port,
+                lane_width: params.lane_width,
+            }
+            .into());
+        }
+        Ok(())
+    }
+
+    /// The backend [`DeploymentBuilder::fabric`] selects — split into a
+    /// `chiplets` grid when one is given — unprovisioned, with the mapping
+    /// it serves: the shared front half of [`DeploymentBuilder::build`]
+    /// and [`DeploymentBuilder::build_controlled`].
+    fn fabric_and_mapping(
         &self,
-        cw: usize,
-        ch: usize,
+        chiplets: Option<(usize, usize)>,
     ) -> Result<(Box<dyn Fabric>, Mapping), DeployError> {
-        self.check_chiplet_mesh(cw, ch)?;
+        if matches!(self.kind, FabricKind::Circuit | FabricKind::Hybrid) {
+            self.check_router_params()?;
+        }
+        match chiplets {
+            Some((cw, ch)) => self.check_chiplet_mesh(cw, ch)?,
+            None if !matches!(self.kind, FabricKind::Circuit) => self.check_packet_mesh()?,
+            None => {}
+        }
         let mapping = match self.kind {
             FabricKind::Hybrid => self.map_admission(true)?,
             _ => self.map()?,
         };
-        Ok((Box::new(self.chiplet_fabric(cw, ch)), mapping))
+        let fabric: Box<dyn Fabric> = match (chiplets, self.kind) {
+            (Some((cw, ch)), _) => Box::new(self.chiplet_fabric(cw, ch)),
+            (None, FabricKind::Circuit) => Box::new(Soc::new(self.mesh, self.router_params)),
+            (None, FabricKind::Hybrid) => Box::new(self.hybrid_fabric()),
+            (None, FabricKind::Deflection) => {
+                Box::new(DeflectionFabric::new(self.mesh, self.deflection_params))
+            }
+            (None, FabricKind::Packet) => Box::new(PacketFabric::new(
+                self.mesh,
+                self.packet_params,
+                self.packet_words,
+            )),
+        };
+        Ok((fabric, mapping))
     }
 
     /// Deploy onto the backend chosen with [`DeploymentBuilder::fabric`].
@@ -422,38 +460,7 @@ impl<'g> DeploymentBuilder<'g> {
     /// inside ordinary [`Fabric::step`]s.
     pub fn build(mut self) -> Result<Deployment<Box<dyn Fabric>>, DeployError> {
         let policy = self.policy.take();
-        let (fabric, mapping): (Box<dyn Fabric>, Mapping) = if let Some((cw, ch)) = self.chiplets {
-            self.build_chiplet_parts(cw, ch)?
-        } else {
-            match self.kind {
-                FabricKind::Circuit => (
-                    Box::new(Soc::new(self.mesh, self.router_params)),
-                    self.map()?,
-                ),
-                FabricKind::Hybrid => {
-                    self.check_packet_mesh()?;
-                    (Box::new(self.hybrid_fabric()), self.map_admission(true)?)
-                }
-                FabricKind::Deflection => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(DeflectionFabric::new(self.mesh, self.deflection_params)),
-                        self.map()?,
-                    )
-                }
-                FabricKind::Packet => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(PacketFabric::new(
-                            self.mesh,
-                            self.packet_params,
-                            self.packet_words,
-                        )),
-                        self.map()?,
-                    )
-                }
-            }
-        };
+        let (fabric, mapping) = self.fabric_and_mapping(self.chiplets)?;
         let mut fabric: Box<dyn Fabric> = match policy {
             Some(p) => Box::new(FabricController::new(fabric, p).with_window(self.tick_window)),
             None => fabric,
@@ -471,46 +478,15 @@ impl<'g> DeploymentBuilder<'g> {
     /// reporting needs no downcasting through `Box<dyn Fabric>`.
     pub fn build_controlled(mut self) -> Result<Deployment<FabricController>, DeployError> {
         let policy = self.policy.take().unwrap_or_else(|| Box::new(FirstFit));
-        let window = self.tick_window;
-        let (fabric, mapping): (Box<dyn Fabric>, Mapping) = if let Some((cw, ch)) = self.chiplets {
-            self.build_chiplet_parts(cw, ch)?
-        } else {
-            match self.kind {
-                FabricKind::Circuit => (
-                    Box::new(Soc::new(self.mesh, self.router_params)),
-                    self.map()?,
-                ),
-                FabricKind::Hybrid => {
-                    self.check_packet_mesh()?;
-                    (Box::new(self.hybrid_fabric()), self.map_admission(true)?)
-                }
-                FabricKind::Deflection => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(DeflectionFabric::new(self.mesh, self.deflection_params)),
-                        self.map()?,
-                    )
-                }
-                FabricKind::Packet => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(PacketFabric::new(
-                            self.mesh,
-                            self.packet_params,
-                            self.packet_words,
-                        )),
-                        self.map()?,
-                    )
-                }
-            }
-        };
-        let mut controller = FabricController::new(fabric, policy).with_window(window);
+        let (fabric, mapping) = self.fabric_and_mapping(self.chiplets)?;
+        let mut controller = FabricController::new(fabric, policy).with_window(self.tick_window);
         controller.provision_with(&mapping, self.provisioning)?;
         Ok(Deployment::assemble(controller, mapping, &self))
     }
 
     /// Deploy onto the circuit-switched mesh.
     pub fn build_circuit(self) -> Result<Deployment<Soc>, DeployError> {
+        self.check_router_params()?;
         let mapping = self.map()?;
         let mut fabric = Soc::new(self.mesh, self.router_params);
         fabric
@@ -543,6 +519,7 @@ impl<'g> DeploymentBuilder<'g> {
     /// onto the packet plane *is* the hybrid discipline — so applications
     /// the pure circuit backend rejects deploy here.
     pub fn build_hybrid(self) -> Result<Deployment<HybridFabric>, DeployError> {
+        self.check_router_params()?;
         self.check_packet_mesh()?;
         let mapping = self.map_admission(true)?;
         let mut fabric = self.hybrid_fabric();
@@ -1198,6 +1175,77 @@ mod tests {
                 height: 1
             })
         ));
+    }
+
+    /// Every path that builds a circuit router — flat circuit and hybrid
+    /// fabrics and circuit or hybrid chiplet planes, through `build`,
+    /// `build_controlled` and the typed builders — refuses `params` with
+    /// `UnsupportedRouter` instead of panicking at the first `step` (or,
+    /// for a lane width the converter does not shift, running wrong).
+    fn assert_router_refused(params: RouterParams) {
+        let g = pipeline(2, 10.0);
+        let builder = |kind, chiplets: Option<(usize, usize)>| {
+            let b = Deployment::builder(&g)
+                .mesh(4, 4)
+                .router_params(params)
+                .fabric(kind);
+            match chiplets {
+                Some((cw, ch)) => b.chiplets(cw, ch),
+                None => b,
+            }
+        };
+        let refused = Some(DeployError::Provision(ProvisionError::UnsupportedRouter {
+            lanes_per_port: params.lanes_per_port,
+            lane_width: params.lane_width,
+        }));
+        for kind in [FabricKind::Circuit, FabricKind::Hybrid] {
+            for chiplets in [None, Some((2, 2))] {
+                let what = format!("{kind} chiplets {chiplets:?}");
+                assert_eq!(builder(kind, chiplets).build().err(), refused, "{what}");
+                let controlled = builder(kind, chiplets).build_controlled().err();
+                assert_eq!(controlled, refused, "{what}, controlled");
+            }
+        }
+        let circuit = builder(FabricKind::Circuit, None).build_circuit().err();
+        assert_eq!(circuit, refused);
+        assert_eq!(
+            builder(FabricKind::Hybrid, None).build_hybrid().err(),
+            refused
+        );
+    }
+
+    #[test]
+    fn lanes_beyond_the_packed_datapath_are_a_deploy_error() {
+        assert_router_refused(RouterParams {
+            lanes_per_port: 17,
+            ..RouterParams::paper()
+        });
+        assert_router_refused(RouterParams {
+            lanes_per_port: 0,
+            ..RouterParams::paper()
+        });
+        // The widest shape the datapath carries still deploys and runs.
+        let g = pipeline(2, 10.0);
+        let mut dep = Deployment::builder(&g)
+            .mesh(4, 4)
+            .router_params(RouterParams {
+                lanes_per_port: 16,
+                ..RouterParams::paper()
+            })
+            .build()
+            .expect("16 lanes per port fit the datapath");
+        dep.run(500);
+        dep.settle(500);
+        assert!(dep.total_delivered() > 0);
+    }
+
+    #[test]
+    fn lane_width_other_than_four_bits_is_a_deploy_error() {
+        assert_router_refused(RouterParams {
+            lanes_per_port: 8,
+            lane_width: 2,
+            ..RouterParams::paper()
+        });
     }
 
     #[test]

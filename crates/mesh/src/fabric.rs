@@ -114,6 +114,15 @@ pub enum ProvisionError {
         /// Streams in the mapping.
         streams: usize,
     },
+    /// The circuit router's packed datapath cannot carry these router
+    /// parameters (see
+    /// [`RouterParams::fits_datapath`](noc_core::params::RouterParams::fits_datapath)).
+    UnsupportedRouter {
+        /// Requested lanes per port (the datapath carries 1..=16).
+        lanes_per_port: usize,
+        /// Requested lane width in bits (the datapath carries 4).
+        lane_width: u32,
+    },
 }
 
 impl fmt::Display for ProvisionError {
@@ -127,6 +136,14 @@ impl fmt::Display for ProvisionError {
             ProvisionError::TooManyStreams { streams } => write!(
                 f,
                 "{streams} streams exceed the head flit's 256-stream tag space"
+            ),
+            ProvisionError::UnsupportedRouter {
+                lanes_per_port,
+                lane_width,
+            } => write!(
+                f,
+                "the circuit router carries 1..=16 lanes of 4 bits per port, \
+                 not {lanes_per_port} lanes of {lane_width} bits"
             ),
         }
     }

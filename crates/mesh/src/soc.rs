@@ -5,16 +5,19 @@
 //! per lane (Fig. 7). Each cycle:
 //!
 //! 1. **Sample** — every router's inputs are loaded from its neighbours'
-//!    registered outputs (the values latched at the previous edge);
+//!    registered outputs (the values latched at the previous edge), one
+//!    packed port word per link ([`CircuitRouter::port_output`] into
+//!    [`CircuitRouter::set_port_input`]);
 //! 2. **Tiles** — sources inject, sinks drain;
-//! 3. **Evaluate** — all routers compute combinationally; order-free, so
-//!    optionally fanned out over the persistent worker pool
-//!    ([`noc_sim::par`]);
-//! 4. **Commit** — all routers latch.
+//! 3. **Clock** — every router evaluates and commits, back to back, in one
+//!    pass optionally fanned out over the persistent worker pool
+//!    ([`noc_sim::par`]).
 //!
-//! Because sampling reads only latched outputs, the sample pass and the
-//! evaluate pass never race — this is the property that makes big-mesh
-//! simulation embarrassingly parallel (see the `mesh_step` bench).
+//! Because sampling reads only latched outputs and a router's eval reads
+//! only its own registers and sampled inputs, the routers of step 3 never
+//! observe each other: any order, and any split over threads, gives the
+//! same bits — the property that makes big-mesh simulation embarrassingly
+//! parallel (see the `mesh_step` bench).
 
 use crate::be::{BeConfig, BeNetwork};
 use crate::ccn::{Ccn, EdgeRoute, Mapping};
@@ -35,7 +38,7 @@ use noc_core::router::CircuitRouter;
 use noc_power::area::circuit_router_area;
 use noc_sim::activity::{ActivityLedger, ComponentActivity};
 use noc_sim::kernel::Clocked;
-use noc_sim::par::{par_commit, par_eval, ParPolicy};
+use noc_sim::par::{par_step, ParPolicy};
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{Bandwidth, SquareMicroMeters};
 use std::collections::VecDeque;
@@ -452,18 +455,14 @@ impl Soc {
         }
 
         // 1. Wire the links: every router's inputs are loaded from its
-        //    neighbours' registered outputs. `set_link_input` writes only
-        //    the input scratch and never a latched output, so one fused
-        //    pass reading neighbours while writing own inputs is race-free
-        //    (identical to the former sample-then-apply double pass). A
-        //    neighbour whose every output has been parked at zero for two
-        //    consecutive commits (`quiet_links`) drives nothing on any
-        //    lane — skip sampling it entirely; on a mostly-idle mesh this
-        //    removes the wiring pass from the per-cycle cost.
-        let lanes = self.params.lanes_per_port;
-        let mut data = [noc_sim::bits::Nibble::ZERO; 16];
-        let mut acks = [false; 16];
-        debug_assert!(lanes <= data.len());
+        //    neighbours' registered outputs, one port word per link.
+        //    `set_port_input` writes only the input scratch and never a
+        //    latched output, so one fused pass reading neighbours while
+        //    writing own inputs is race-free. A neighbour whose every output
+        //    has been parked at zero for two consecutive commits
+        //    (`quiet_links`) drives nothing on any lane — skip sampling it
+        //    entirely; on a mostly-idle mesh this removes the wiring pass
+        //    from the per-cycle cost.
         for node in self.mesh.iter() {
             for port in Port::NEIGHBOURS {
                 if let Some(nb) = self.mesh.neighbour(node, port) {
@@ -471,16 +470,8 @@ impl Soc {
                         continue;
                     }
                     let opp = port.opposite().expect("neighbour port");
-                    let nbr = &self.routers[nb.0];
-                    for l in 0..lanes {
-                        data[l] = nbr.link_output(opp, l);
-                        acks[l] = nbr.ack_to_upstream(opp, l);
-                    }
-                    let me = &mut self.routers[node.0];
-                    for l in 0..lanes {
-                        me.set_link_input(port, l, data[l]);
-                        me.set_ack_input(port, l, acks[l]);
-                    }
+                    let (data, acks) = self.routers[nb.0].port_output(opp);
+                    self.routers[node.0].set_port_input(port, data, acks);
                 }
             }
         }
@@ -562,9 +553,12 @@ impl Soc {
             }
         }
 
-        // 3+4. Two-phase clocking over all routers, optionally parallel.
-        par_eval(&mut self.routers, self.policy);
-        par_commit(&mut self.routers, self.policy);
+        // 3. Clock every router: eval then commit, router by router, in a
+        //    single (optionally pooled) dispatch. A router's eval reads only
+        //    its own registers and the inputs wired in step 1, and its
+        //    commit writes only its own registers, so running one router's
+        //    commit before another's eval cannot change any result.
+        par_step(&mut self.routers, self.policy);
         self.now += 1;
     }
 

@@ -70,7 +70,7 @@ impl Simulator {
     /// Run exactly `cycles` cycles, invoking `tick(cycle)` for each.
     ///
     /// `tick` must perform the full evaluate/commit sequence for every
-    /// component it owns (helpers: [`step`], [`crate::par::par_eval`]).
+    /// component it owns (helpers: [`step`], [`crate::par::par_step`]).
     pub fn run<F: FnMut(Cycle)>(&mut self, cycles: CycleCount, mut tick: F) {
         for _ in 0..cycles {
             tick(self.now);

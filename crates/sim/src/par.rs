@@ -614,17 +614,16 @@ where
     }
 }
 
-/// Evaluate phase for a slice of clocked components, possibly in parallel.
-pub fn par_eval<C: Clocked + Send>(components: &mut [C], policy: ParPolicy) {
-    par_for_each_mut(components, policy, |c| c.eval());
-}
-
-/// Commit phase for a slice of clocked components, possibly in parallel.
+/// Step a slice of clocked components one cycle — each one's eval then its
+/// commit, back to back — in a single dispatch, possibly in parallel.
 ///
-/// Commits only touch each component's own registers, so they parallelise
-/// exactly like evaluation.
-pub fn par_commit<C: Clocked + Send>(components: &mut [C], policy: ParPolicy) {
-    par_for_each_mut(components, policy, |c| c.commit());
+/// Exact only for components whose eval reads nothing another component
+/// writes at its commit: each one's inputs must have been sampled before
+/// the call, as the circuit mesh wires its links. Then no component can
+/// observe whether a neighbour has already committed, and one dispatch
+/// gives the bits of the two-phase eval-all-then-commit-all cycle.
+pub fn par_step<C: Clocked + Send>(components: &mut [C], policy: ParPolicy) {
+    par_for_each_mut(components, policy, crate::kernel::step);
 }
 
 #[cfg(test)]
@@ -659,8 +658,7 @@ mod tests {
 
     fn run(components: &mut [Doubler], policy: ParPolicy, cycles: usize) {
         for _ in 0..cycles {
-            par_eval(components, policy);
-            par_commit(components, policy);
+            par_step(components, policy);
         }
     }
 

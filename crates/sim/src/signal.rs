@@ -59,11 +59,21 @@ impl<T: Bits> Reg<T> {
     #[inline]
     pub fn clock(&mut self, ledger: &mut ActivityLedger) {
         ledger.add(ActivityClass::RegClock, T::WIDTH as u64);
-        let toggles = self.cur.hamming(self.nxt);
+        let toggles = self.latch();
         if toggles != 0 {
             ledger.add(ActivityClass::RegToggle, toggles as u64);
         }
+    }
+
+    /// Clock edge without a ledger: latch D into Q and return the number
+    /// of bits that changed. For components that sum a whole edge's
+    /// events and charge them with one ledger add per class; the clock
+    /// charge is the caller's (a constant per register).
+    #[inline]
+    pub fn latch(&mut self) -> u32 {
+        let toggles = self.cur.hamming(self.nxt);
         self.cur = self.nxt;
+        toggles
     }
 
     /// Clock edge for a register whose physical width is narrower than its
@@ -75,12 +85,11 @@ impl<T: Bits> Reg<T> {
     pub fn clock_bits(&mut self, ledger: &mut ActivityLedger, bits: u32) {
         debug_assert!(bits <= T::WIDTH, "physical width exceeds backing type");
         ledger.add(ActivityClass::RegClock, bits as u64);
-        let toggles = self.cur.hamming(self.nxt);
+        let toggles = self.latch();
         if toggles != 0 {
             debug_assert!(toggles <= bits, "toggles outside the physical bits");
             ledger.add(ActivityClass::RegToggle, toggles as u64);
         }
-        self.cur = self.nxt;
     }
 
     /// Gated clock edge: hold Q, pay no clock energy. `D` is left untouched

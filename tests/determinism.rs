@@ -355,3 +355,70 @@ fn restored_fleet_replay_reproduces_the_slo_report() {
         "the restored replay's SLO report diverged"
     );
 }
+
+/// Exact circuit-router activity, component by component and class by
+/// class, with and without the clock gating of inactive lanes. A seeded
+/// HiperLAN/2 deployment on a 4×4 circuit mesh runs offered load, drains
+/// one circuit away mid-run (teardown reconfigures live routers) and runs
+/// on. Every count of `Fabric::activity()` must match the recorded table,
+/// so a change to how the router latches or accounts its registers, link
+/// wires, converters or flow control cannot move a single event
+/// unnoticed, gated or not.
+#[test]
+fn circuit_activity_is_pinned_with_and_without_clock_gating() {
+    use noc_sim::activity::{ActivityClass, ComponentKind};
+    // Counts in `ActivityClass::ALL` order: RegClock, RegToggle,
+    // WireToggle, LinkToggle, BufferWrite, BufferRead, ArbiterEval,
+    // ArbiterGrantChange, SelectToggle, ConfigWrite, Handshake.
+    const FLOW: [u64; 11] = [2048000, 14020, 0, 0, 0, 0, 0, 0, 0, 0, 1714];
+    const CONFIG: [u64; 11] = [0, 0, 0, 0, 0, 0, 0, 0, 27, 27, 0];
+    const CONVERTER: [u64; 11] = [11776000, 248497, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    const LINK: [u64; 11] = [0, 0, 0, 46894, 0, 0, 0, 0, 0, 0, 0];
+    let expected = |crossbar_clocks: u64| {
+        vec![
+            (
+                ComponentKind::Crossbar,
+                [crossbar_clocks, 85342, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (ComponentKind::ConfigMemory, CONFIG),
+            (ComponentKind::DataConverter, CONVERTER),
+            (ComponentKind::FlowControl, FLOW),
+            (ComponentKind::Link, LINK),
+        ]
+    };
+    let graph = noc_apps::hiperlan2::task_graph(&Hiperlan2Params::standard(Modulation::Qam64));
+    let run = |clock_gating: bool| {
+        let mut dep = Deployment::builder(&graph)
+            .mesh(4, 4)
+            .clock(MegaHertz(200.0))
+            .seed(0xAC71)
+            .router_params(RouterParams {
+                clock_gating,
+                ..RouterParams::paper()
+            })
+            .build_circuit()
+            .expect("HiperLAN/2 fits a 4x4 circuit mesh");
+        dep.run(2000);
+        let drained = dep.fabric().stream_stats()[0].id;
+        dep.stop_traffic(drained);
+        dep.fabric_mut()
+            .release(drained, ReleaseMode::Drain)
+            .expect("live stream releases");
+        dep.run(2000);
+        dep.fabric()
+            .activity()
+            .into_iter()
+            .map(|c| {
+                let mut counts = [0u64; 11];
+                for (slot, &class) in counts.iter_mut().zip(&ActivityClass::ALL) {
+                    *slot = c.ledger.get(class);
+                }
+                (c.kind, counts)
+            })
+            .collect::<Vec<_>>()
+    };
+    // Ungated, all 100 crossbar register bits of all 16 routers clock on
+    // each of the 4000 cycles; gated, only the configured lanes do.
+    assert_eq!(run(false), expected(6_400_000), "ungated activity moved");
+    assert_eq!(run(true), expected(280_130), "gated activity moved");
+}

@@ -143,7 +143,7 @@ proptest! {
         }
         let mut xbar = noc_core::crossbar::Crossbar::new(params);
         let nibbles: Vec<Nibble> = inputs.iter().map(|&v| Nibble::new(v)).collect();
-        xbar.eval(&nibbles, &[false; 20], &cfg);
+        xbar.eval(&noc_core::crossbar::pack_nibbles(&nibbles, 4), &[0; 5], &cfg);
         xbar.commit(&mut ledger);
         for o in 0..20usize {
             let idx = noc_core::lane::LaneIndex(o as u8);
