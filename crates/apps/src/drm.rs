@@ -13,14 +13,13 @@
 use crate::hiperlan2::{Hiperlan2Params, Modulation};
 use crate::taskgraph::{TaskGraph, TrafficShape};
 use noc_sim::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// The rate divisor between HiperLAN/2 and DRM ("a factor 1000 less").
 pub const DRM_RATE_FACTOR: f64 = 1000.0;
 
 /// DRM receiver parameters, expressed relative to the HiperLAN/2 pipeline
 /// they structurally mirror.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrmParams {
     /// The OFDM pipeline structure (block sizes, quantisation).
     pub ofdm: Hiperlan2Params,

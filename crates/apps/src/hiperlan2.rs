@@ -18,10 +18,9 @@
 
 use crate::taskgraph::{TaskGraph, TrafficShape};
 use noc_sim::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Subcarrier modulation of the data carriers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modulation {
     /// 1 bit per carrier per symbol.
     Bpsk,
@@ -46,7 +45,7 @@ impl Modulation {
 }
 
 /// OFDM physical-layer parameters of HiperLAN/2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hiperlan2Params {
     /// Samples per OFDM symbol including the cyclic prefix.
     pub symbol_samples: u32,

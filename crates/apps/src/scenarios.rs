@@ -16,15 +16,14 @@
 //! multiplexing" (Section 6.1).
 
 use noc_core::lane::Port;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a Table 3 stream (1-based, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub u8);
 
 /// One endpoint of a benchmark stream at router scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// The local tile interface, using the given tile-port lane.
     Tile {
@@ -60,7 +59,7 @@ impl Endpoint {
 /// One benchmark stream: data enters the router at `from` and leaves at
 /// `to`, at 100% lane load (Section 6.1: "All three data streams have a
 /// load of 100%").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamDef {
     /// Paper stream number.
     pub id: StreamId,
@@ -106,7 +105,7 @@ pub fn table3_streams() -> [StreamDef; 3] {
 }
 
 /// The four test scenarios of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scenario {
     /// No data traverses the router: "the static offset in the dynamic
     /// power consumption".

@@ -8,21 +8,20 @@
 //! needs (per-edge bandwidth, totals, topological structure).
 
 use noc_sim::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Index of a process in its graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcessId(pub usize);
 
 /// Index of an edge in its graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub usize);
 
 /// How data flows on an edge (paper Section 3.3: block-based for OFDM,
 /// streaming for CDMA).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficShape {
     /// Periodic blocks: `words` 16-bit words delivered every `period_us`
     /// microseconds (an OFDM symbol, for instance).
@@ -38,7 +37,7 @@ pub enum TrafficShape {
 }
 
 /// One functional process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     /// Human-readable name (matches the paper's block diagrams).
     pub name: String,
@@ -47,7 +46,7 @@ pub struct Process {
 }
 
 /// One communication edge with its GT bandwidth requirement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     /// Producing process.
     pub src: ProcessId,
@@ -62,7 +61,7 @@ pub struct Edge {
 }
 
 /// A Kahn-like process graph.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TaskGraph {
     /// Application name.
     pub name: String,

@@ -9,10 +9,9 @@
 
 use noc_core::phit::Phit;
 use noc_sim::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// The data patterns of Section 6.1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DataPattern {
     /// Best case: "no bit-flips, transmitting only zeros".
     Zeros,

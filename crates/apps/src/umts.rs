@@ -16,10 +16,9 @@
 
 use crate::taskgraph::{TaskGraph, TrafficShape};
 use noc_sim::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Symbol modulation of the downlink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UmtsModulation {
     /// 2 bits per symbol.
     Qpsk,
@@ -38,7 +37,7 @@ impl UmtsModulation {
 }
 
 /// W-CDMA receiver parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UmtsParams {
     /// Chip rate [Mchip/s]; UMTS uses 3.84.
     pub chip_rate_mcps: f64,

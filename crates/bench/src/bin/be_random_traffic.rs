@@ -6,12 +6,11 @@
 //! This binary applies exactly that methodology to the packet-switched
 //! plane (which the paper reserves for its <5% best-effort share): uniform
 //! random destinations, swept injection rate, delivered throughput and
-//! latency percentiles.
+//! per-word latency percentiles.
 
+use noc_exp::random_traffic::uniform_random;
 use noc_exp::tables;
-use noc_mesh::packet_mesh::{PacketMesh, RandomTraffic};
 use noc_mesh::topology::Mesh;
-use noc_packet::params::PacketParams;
 
 fn main() {
     println!("Best-effort plane: 4x4 packet-switched mesh, uniform random traffic,");
@@ -20,31 +19,19 @@ fn main() {
     let mut rows = Vec::new();
     for rate_milli in [5u32, 10, 20, 40, 60, 80, 120] {
         let rate = f64::from(rate_milli) / 1000.0;
-        let mut pm = PacketMesh::new(
-            Mesh::new(4, 4),
-            PacketParams::paper(),
-            RandomTraffic {
-                packet_rate: rate,
-                packet_words: 4,
-            },
-            2005,
-        );
-        pm.run(5000);
-        let p50 = pm
-            .latency
-            .quantile(0.5)
-            .map_or("-".into(), |v| v.to_string());
-        let p99 = pm
-            .latency
-            .quantile(0.99)
-            .map_or("-".into(), |v| v.to_string());
+        let run = uniform_random(Mesh::new(4, 4), rate, 4, 5000, 2005);
+        let quantile = |q| {
+            run.latency
+                .quantile(q)
+                .map_or("-".into(), |v| v.to_string())
+        };
         rows.push(vec![
             format!("{:.3}", rate),
-            format!("{:.4}", pm.throughput()),
-            format!("{:.1}", pm.latency.mean()),
-            p50,
-            p99,
-            pm.total_backlog().to_string(),
+            format!("{:.4}", run.throughput),
+            format!("{:.1}", run.latency.mean()),
+            quantile(0.5),
+            quantile(0.99),
+            run.backlog.to_string(),
         ]);
     }
     println!(
@@ -53,7 +40,7 @@ fn main() {
             &[
                 "Offered [pkt/node/cyc]",
                 "Delivered",
-                "Mean lat [cyc]",
+                "Mean word lat [cyc]",
                 "p50",
                 "p99",
                 "Backlog",

@@ -1,42 +1,42 @@
-//! Runs **every experiment** in EXPERIMENTS.md order by invoking the same
-//! code paths as the individual binaries. `cargo run --release -p
-//! noc-bench --bin experiments` regenerates the full paper-vs-measured
-//! record in one go.
+//! Runs **every experiment** in EXPERIMENTS.md order, in one process: each
+//! paper binary is compiled in as a module and its `main` called in turn.
+//! `cargo run --release -p noc-bench --bin experiments` regenerates the
+//! full paper-vs-measured record in one go.
 
-use std::process::Command;
+#[path = "fig10_bitflips.rs"]
+mod fig10_bitflips;
+#[path = "fig9_power_bars.rs"]
+mod fig9_power_bars;
+#[path = "map_applications.rs"]
+mod map_applications;
+#[path = "reconfig_latency.rs"]
+mod reconfig_latency;
+#[path = "scenarios.rs"]
+mod scenarios;
+#[path = "table1_hiperlan2.rs"]
+mod table1_hiperlan2;
+#[path = "table2_umts.rs"]
+mod table2_umts;
+#[path = "table4_synthesis.rs"]
+mod table4_synthesis;
 
-const BINS: [&str; 8] = [
-    "table1_hiperlan2",
-    "table2_umts",
-    "scenarios",
-    "table4_synthesis",
-    "fig9_power_bars",
-    "fig10_bitflips",
-    "reconfig_latency",
-    "map_applications",
+const EXPERIMENTS: [(&str, fn()); 8] = [
+    ("table1_hiperlan2", table1_hiperlan2::main),
+    ("table2_umts", table2_umts::main),
+    ("scenarios", scenarios::main),
+    ("table4_synthesis", table4_synthesis::main),
+    ("fig9_power_bars", fig9_power_bars::main),
+    ("fig10_bitflips", fig10_bitflips::main),
+    ("reconfig_latency", reconfig_latency::main),
+    ("map_applications", map_applications::main),
 ];
 
 fn main() {
-    // When invoked through cargo the sibling binaries sit next to us.
-    let me = std::env::current_exe().expect("own path");
-    let dir = me.parent().expect("bin dir");
-    for bin in BINS {
+    for (name, run) in EXPERIMENTS {
         println!("\n================================================================");
-        println!("==  {bin}");
+        println!("==  {name}");
         println!("================================================================\n");
-        let path = dir.join(bin);
-        if path.exists() {
-            let status = Command::new(&path).status().expect("spawn experiment");
-            if !status.success() {
-                eprintln!("experiment {bin} failed: {status}");
-                std::process::exit(1);
-            }
-        } else {
-            eprintln!(
-                "binary {bin} not built; run `cargo build --release -p noc-bench --bins` first"
-            );
-            std::process::exit(2);
-        }
+        run();
     }
     println!("\nAll experiments completed.");
 }

@@ -8,7 +8,7 @@ use noc_exp::fig10::fig10;
 use noc_exp::fig9::RouterKind;
 use noc_exp::tables;
 
-fn main() {
+pub fn main() {
     println!("Fig. 10: Data Dependency of the Dynamic Power Consumption (100% load)");
     println!("         dynamic power [uW/MHz] vs percentage of data-bit flips\n");
 

@@ -8,7 +8,7 @@ use noc_bench::router_label;
 use noc_exp::fig9::{fig9, RouterKind};
 use noc_exp::tables;
 
-fn main() {
+pub fn main() {
     println!("Fig. 9: Dynamic and Static Power Bars for Different Scenarios");
     println!("        (random data, 100% load, 25 MHz, 200 us => 2 kB/stream)\n");
 

@@ -18,7 +18,7 @@ use noc_mesh::deployment::Deployment;
 use noc_mesh::topology::Mesh;
 use noc_sim::units::MegaHertz;
 
-fn main() {
+pub fn main() {
     // Clock the GT network fast enough for the heaviest HiperLAN/2 edge:
     // 640 Mbit/s needs ceil(640/(lane capacity)) lanes; at 200 MHz one
     // 3.2-bit/cycle lane does 640 Mbit/s exactly.
@@ -47,7 +47,7 @@ fn main() {
         Deployment::builder(graph)
             .mesh_topology(mesh)
             .clock(clock)
-            .build_circuit()
+            .build()
     };
 
     println!("Run-time mapping of the Section 3 applications onto a 4x4 mesh at {clock}");

@@ -13,7 +13,7 @@ use noc_mesh::topology::Mesh;
 use noc_sim::time::Cycle;
 use noc_sim::units::MegaHertz;
 
-fn main() {
+pub fn main() {
     let params = RouterParams::paper();
     println!("Configuration interface facts (Section 5.1):\n");
     let rows = vec![

@@ -29,8 +29,8 @@
 //! the full parity gate.
 //!
 //! Besides the rendered table, every run writes the machine-readable
-//! `BENCH_scale.json` (hand-rolled [`noc_exp::json`] — the vendored serde
-//! is a no-op): one row per mesh × fabric with the raw throughput
+//! `BENCH_scale.json` (through the hand-rolled [`noc_exp::json`]): one
+//! row per mesh × fabric with the raw throughput
 //! numbers, so CI can validate the artefact and reviews can diff it.
 //!
 //! **Perf trajectory:** before overwriting the artefact, the checked-in

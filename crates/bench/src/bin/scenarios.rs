@@ -8,7 +8,7 @@ use noc_exp::tables;
 use noc_exp::testbench::{CircuitScenarioBench, PacketScenarioBench};
 use noc_packet::params::PacketParams;
 
-fn main() {
+pub fn main() {
     println!("Table 3: Stream Definitions\n");
     let rows: Vec<Vec<String>> = table3_streams()
         .iter()

@@ -28,7 +28,7 @@ fn run(gating: bool) -> (f64, f64, f64) {
         .clock(MegaHertz(200.0))
         .router_params(params)
         .seed(0x50C)
-        .build_circuit()
+        .build()
         .expect("HiperLAN/2 fits a 4x4 mesh at 200 MHz");
     // Measure steady-state traffic, not the provisioning burst.
     dep.fabric_mut().clear_activity();

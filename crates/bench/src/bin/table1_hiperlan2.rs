@@ -6,7 +6,7 @@ use noc_apps::hiperlan2::{table1, Hiperlan2Params, Modulation};
 use noc_exp::reference::{TABLE1_HARD_BITS_QAM64, TABLE1_MBITS};
 use noc_exp::tables;
 
-fn main() {
+pub fn main() {
     println!("Table 1: Communication in HiperLAN/2 (derived from OFDM parameters)");
     println!("  80-sample symbol / 4 us, 64-pt FFT, 52 used / 48 data carriers, 16-bit I+Q\n");
 

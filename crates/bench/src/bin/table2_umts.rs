@@ -6,7 +6,7 @@ use noc_apps::umts::{table2, UmtsModulation, UmtsParams};
 use noc_exp::reference::{TABLE2_MBITS, UMTS_EXAMPLE_TOTAL_MBITS};
 use noc_exp::tables;
 
-fn main() {
+pub fn main() {
     println!("Table 2: Communication in UMTS (derived from W-CDMA parameters)");
     println!("  3.84 Mchip/s, 8-bit I+Q chips/coefficients, SF=4, QPSK\n");
 

@@ -11,7 +11,7 @@ use noc_power::synthesis::table4;
 use noc_power::tech::Technology;
 use noc_sim::activity::ComponentKind;
 
-fn main() {
+pub fn main() {
     let t4 = table4(
         &RouterParams::paper(),
         &PacketParams::paper(),

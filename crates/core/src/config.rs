@@ -17,12 +17,11 @@ use crate::error::ConfigError;
 use crate::lane::{LaneIndex, Port};
 use crate::params::{bits_for, RouterParams};
 use noc_sim::activity::{ActivityClass, ActivityLedger};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One output lane's configuration: the foreign-input select plus the
 /// activation bit (5 bits in the paper's configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfigEntry {
     /// Index into the output port's 16 foreign input lanes.
     pub select: u8,
@@ -87,7 +86,7 @@ impl fmt::Display for ConfigEntry {
 /// A configuration word as delivered over the BE network: flat output-lane
 /// address in the high bits, packed [`ConfigEntry`] in the low bits
 /// (10 bits total for the paper's router).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigWord(pub u16);
 
 impl ConfigWord {
@@ -155,7 +154,7 @@ impl fmt::Display for ConfigWord {
 /// Each write also resolves the entry's select to the input lane it reads
 /// and keeps a per-port mask of the active output lanes, so the crossbar's
 /// per-cycle evaluation decodes nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigMemory {
     params: RouterParams,
     /// One slot per flat output lane.

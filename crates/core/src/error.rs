@@ -6,11 +6,10 @@
 //! than it would take silicon down.
 
 use crate::lane::Port;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A configuration request the router hardware cannot express.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// Input select exceeds the crossbar's mux width.
     SelectOutOfRange {

@@ -17,10 +17,9 @@
 
 use noc_sim::activity::{ActivityClass, ActivityLedger};
 use noc_sim::signal::Reg;
-use serde::{Deserialize, Serialize};
 
 /// How a source lane is flow-controlled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowControlMode {
     /// No acknowledge wire in use: the destination is assumed to always
     /// consume (the paper's base case before the ack extension).

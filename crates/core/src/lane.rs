@@ -10,7 +10,6 @@
 //! * a flat [`LaneIndex`] in `0 .. ports×lanes` — the form the crossbar and
 //!   the activity arrays use internally.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the router's five bidirectional ports.
@@ -18,7 +17,7 @@ use std::fmt;
 /// The discriminant order (`Tile`, `North`, `East`, `South`, `West`) fixes
 /// the flat lane numbering and the configuration encoding; it is part of the
 /// configuration-protocol ABI and must not be rearranged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Port {
     /// The local processing tile's interface.
@@ -89,9 +88,7 @@ impl fmt::Display for Port {
 ///
 /// Used for crossbar rows/columns and configuration words. The flat order is
 /// all of `Tile`'s lanes first, then `North`'s, and so on.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LaneIndex(pub u8);
 
 impl LaneIndex {

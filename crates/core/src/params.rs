@@ -12,10 +12,9 @@ use crate::crossbar::MAX_LANES_PER_PORT;
 use crate::error::ConfigError;
 use crate::lane::{LaneIndex, Port};
 use noc_sim::bits::{Bits, Nibble};
-use serde::{Deserialize, Serialize};
 
 /// Design-time parameters of a circuit-switched router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterParams {
     /// Unidirectional lanes per port per direction (paper: 4).
     pub lanes_per_port: usize,

@@ -21,11 +21,10 @@
 //! follow.
 
 use noc_sim::bits::{nibbles_to_word, word_to_nibbles, Nibble};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 4-bit phit header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Header(u8);
 
 impl Header {
@@ -107,7 +106,7 @@ impl fmt::Display for Header {
 
 /// One phit: header + 16-bit data word — the unit the data converter
 /// serialises onto a lane as five nibbles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Phit {
     /// The 4-bit header.
     pub header: Header,

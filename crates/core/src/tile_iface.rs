@@ -22,11 +22,10 @@
 
 use crate::phit::Phit;
 use crate::router::CircuitRouter;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A message as the application sees it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// One unframed data word (streaming communication).
     Stream(u16),
@@ -130,7 +129,7 @@ impl MessageTx {
 }
 
 /// Errors the receive adapter can detect in a framed stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FramingError {
     /// A start-of-block arrived while a block was already open.
     NestedBlock,

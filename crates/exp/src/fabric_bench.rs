@@ -207,17 +207,19 @@ pub fn compare_fabrics(
     cycles: CycleCount,
     seed: u64,
 ) -> Result<FabricComparison, DeployError> {
-    let builder = |graph| {
+    let build = |kind| {
         Deployment::builder(graph)
             .mesh_topology(mesh)
             .clock(clock)
             .seed(seed)
             .spill(true)
+            .fabric(kind)
+            .build()
     };
-    let mut circuit = builder(graph).build_circuit()?;
-    let mut hybrid = builder(graph).build_hybrid()?;
-    let mut deflection = builder(graph).build_deflection()?;
-    let mut packet = builder(graph).build_packet()?;
+    let mut circuit = build(FabricKind::Circuit)?;
+    let mut hybrid = build(FabricKind::Hybrid)?;
+    let mut deflection = build(FabricKind::Deflection)?;
+    let mut packet = build(FabricKind::Packet)?;
     Ok(FabricComparison {
         circuit: run_app(&mut circuit, graph, cycles),
         hybrid: run_app(&mut hybrid, graph, cycles),

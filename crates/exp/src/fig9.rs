@@ -16,10 +16,9 @@ use noc_power::area::{circuit_router_area, packet_router_area};
 use noc_power::estimator::{PowerEstimator, PowerReport};
 use noc_sim::time::cycles_in;
 use noc_sim::units::{MegaHertz, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 /// Which router a bar belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterKind {
     /// The paper's circuit-switched router.
     Circuit,

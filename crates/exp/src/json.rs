@@ -1,8 +1,9 @@
 //! A minimal JSON document model with a hand-rolled serialiser and parser.
 //!
-//! The container vendors a no-op `serde`, so machine-readable bench
-//! artefacts (`BENCH_scale.json`, `BENCH_fleet.json`) are emitted through
-//! this module instead: a [`Json`] tree built by hand, printed compact via
+//! The workspace builds offline with no serialisation crate, so
+//! machine-readable bench artefacts (`BENCH_scale.json`,
+//! `BENCH_fleet.json`) are emitted through this module: a [`Json`] tree
+//! built by hand, printed compact via
 //! [`fmt::Display`] or indented via [`Json::pretty`]. Objects keep their
 //! insertion order (a `Vec` of pairs, not a map), so serialised output is
 //! stable across runs — which matters because the checked-in bench

@@ -27,6 +27,9 @@
 //!   [`fleet::flap_probe`]).
 //! * [`json`] — the hand-rolled JSON document model behind the
 //!   machine-readable `BENCH_*.json` bench artefacts.
+//! * [`random_traffic`] — uniform-random best-effort traffic on the
+//!   packet-switched mesh, the load-latency curve behind
+//!   `be_random_traffic` ([`random_traffic::uniform_random`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,6 +39,7 @@ pub mod fig10;
 pub mod fig9;
 pub mod fleet;
 pub mod json;
+pub mod random_traffic;
 pub mod reference;
 pub mod tables;
 pub mod testbench;

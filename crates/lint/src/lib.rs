@@ -260,7 +260,7 @@ mod tests {
         assert_eq!(classify("tests/determinism.rs"), FileClass::Test);
         assert_eq!(classify("examples/fig9_sweep.rs"), FileClass::Test);
         assert_eq!(classify("crates/exp/tests/roundtrip.rs"), FileClass::Test);
-        assert_eq!(classify("vendor/serde/src/lib.rs"), FileClass::Skip);
+        assert_eq!(classify("vendor/criterion/src/lib.rs"), FileClass::Skip);
         assert_eq!(
             classify("crates/lint/tests/fixtures/bad.rs"),
             FileClass::Skip

@@ -22,11 +22,10 @@ use crate::topology::{Mesh, NodeId};
 use noc_core::config::ConfigWord;
 use noc_core::error::ConfigError;
 use noc_sim::time::Cycle;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// BE network timing/framing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeConfig {
     /// Link width in bits (matches the GT plane's 16-bit links).
     pub link_width_bits: u32,

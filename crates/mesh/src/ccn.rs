@@ -38,12 +38,11 @@ use noc_core::error::ConfigError;
 use noc_core::lane::Port;
 use noc_core::params::RouterParams;
 use noc_sim::units::{Bandwidth, MegaHertz};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 /// One router traversal of an allocated circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathHop {
     /// The router.
     pub node: NodeId,
@@ -59,7 +58,7 @@ pub struct PathHop {
 
 /// The allocated circuit(s) for one tile-to-tile demand: all task-graph
 /// edges between the same source and destination tile share it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeRoute {
     /// The edges served by this circuit: at least one when produced by
     /// the `Ccn::map*` pipeline, empty for circuits set up by runtime
@@ -157,7 +156,7 @@ impl EdgeRoute {
 /// demands so a best-effort plane (the packet fabric, or the hybrid
 /// fabric's spillover plane) can carry them — profiled hybrid switching's
 /// admission story (arXiv:2005.08478).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpillStream {
     /// The task-graph edges sharing this demand (at least one).
     pub edges: Vec<EdgeId>,
@@ -172,7 +171,7 @@ pub struct SpillStream {
 }
 
 /// Why a demand spilled off the circuit plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillReason {
     /// The demand alone exceeds a port's parallel-lane capacity.
     TooWide,
@@ -181,7 +180,7 @@ pub enum SpillReason {
 }
 
 /// A complete application mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
     /// Process placements.
     pub placement: Vec<(ProcessId, NodeId)>,
@@ -205,7 +204,7 @@ pub struct Mapping {
 /// and a hybrid deployment's circuit/spill split is visible in the id
 /// space. On-tile routes (no lane paths) never appear: they are not NoC
 /// streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappedStream {
     /// The session handle [`crate::fabric::Fabric::provision`] hands out.
     pub id: StreamId,
@@ -331,7 +330,7 @@ impl Mapping {
 }
 
 /// Why a mapping attempt failed feasibility analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MappingError {
     /// More processes than tiles.
     NotEnoughTiles {

@@ -25,7 +25,6 @@ use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_power::area::noi_entry_router_area;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
-use noc_sim::kernel::Clocked;
 use noc_sim::par::{ParPolicy, WorkerPool};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
@@ -732,27 +731,6 @@ impl ChipletFabric {
         }
     }
 
-    /// One aggregate cycle: step every chiplet plane (sharded onto the
-    /// worker pool), then exchange boundary words sequentially.
-    fn step_chiplets(&mut self) {
-        let lanes = self.policy.lanes_for(self.mesh.nodes());
-        if lanes <= 1 || self.planes.len() <= 1 {
-            for plane in &mut self.planes {
-                plane.as_fabric_mut().step();
-            }
-        } else {
-            WorkerPool::global().for_each_mut(&mut self.planes, lanes, |plane| {
-                plane.as_fabric_mut().step();
-            });
-        }
-        self.now = Cycle(self.now.0 + 1);
-        let now = self.now.0;
-        self.advance_noi(now);
-        self.feed_noi(now);
-        self.collect_dst(now);
-        self.finalise_drains();
-    }
-
     /// The slot of handle `id`.
     ///
     /// # Panics
@@ -762,14 +740,6 @@ impl ChipletFabric {
             .handles
             .get(id)
             .unwrap_or_else(|| panic!("{id} is not served by this chiplet fabric"))
-    }
-}
-
-impl Clocked for ChipletFabric {
-    fn eval(&mut self) {}
-
-    fn commit(&mut self) {
-        self.step_chiplets();
     }
 }
 
@@ -1288,8 +1258,25 @@ impl Fabric for ChipletFabric {
             .collect()
     }
 
+    /// One aggregate cycle: step every chiplet plane (sharded onto the
+    /// worker pool), then exchange boundary words sequentially.
     fn step(&mut self) {
-        self.step_chiplets();
+        let lanes = self.policy.lanes_for(self.mesh.nodes());
+        if lanes <= 1 || self.planes.len() <= 1 {
+            for plane in &mut self.planes {
+                plane.as_fabric_mut().step();
+            }
+        } else {
+            WorkerPool::global().for_each_mut(&mut self.planes, lanes, |plane| {
+                plane.as_fabric_mut().step();
+            });
+        }
+        self.now = Cycle(self.now.0 + 1);
+        let now = self.now.0;
+        self.advance_noi(now);
+        self.feed_noi(now);
+        self.collect_dst(now);
+        self.finalise_drains();
     }
 
     fn set_parallelism(&mut self, policy: ParPolicy) {

@@ -46,7 +46,6 @@ use crate::stream::{
 use crate::topology::Mesh;
 use noc_power::estimator::PowerReport;
 use noc_sim::activity::ComponentActivity;
-use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{Bandwidth, FemtoJoules, MegaHertz, SquareMicroMeters};
@@ -804,16 +803,6 @@ impl FabricController {
                 self.demands.insert(ms.id.0, StreamDemand::from(&ms));
             }
         }
-    }
-}
-
-impl Clocked for FabricController {
-    fn eval(&mut self) {
-        // Like every composite fabric: the full cycle lives in commit().
-    }
-
-    fn commit(&mut self) {
-        Fabric::step(self);
     }
 }
 

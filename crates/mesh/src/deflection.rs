@@ -46,7 +46,6 @@ use noc_packet::deflection::{DeflectFlit, DeflectionParams, DeflectionSlab};
 use noc_packet::routing::Coords;
 use noc_power::area::deflection_router_area;
 use noc_sim::activity::ComponentActivity;
-use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
@@ -169,99 +168,6 @@ impl DeflectionFabric {
         };
         self.sessions.open(id, src, dst, deflected);
     }
-
-    /// One full fabric cycle: wire the links, inject from the ingress
-    /// queues, clock every router two-phase, collect and reorder
-    /// deliveries.
-    fn step_fabric(&mut self) {
-        // 1. Wire the links: each node samples its neighbours' latched
-        //    output registers. A neighbour whose `quiet_links` flag is set
-        //    drives nothing on any port, so sampling it is provably a
-        //    no-op — the idle fast path the fleet engine relies on.
-        for node in self.mesh.iter() {
-            for port in noc_core::lane::Port::NEIGHBOURS {
-                if let Some(nb) = self.mesh.neighbour(node, port) {
-                    if self.routers.quiet_links(nb.0) {
-                        continue;
-                    }
-                    let opp = pport(port.opposite().expect("neighbour port"));
-                    if let Some(flit) = self.routers.link_output(nb.0, opp) {
-                        self.routers.set_link_input(node.0, pport(port), flit);
-                    }
-                }
-            }
-        }
-
-        // 2. Tile injection: one flit per node per cycle, and only when
-        //    the router guarantees a free output for every arrival plus
-        //    the injected flit (bufferless admission control — the only
-        //    backpressure deflection has).
-        for node in self.mesh.iter() {
-            if let Some(&flit) = self.ingress[node.0].front() {
-                if self.routers.tile_can_inject(node.0) {
-                    let accepted = self.routers.tile_inject(node.0, flit);
-                    debug_assert!(accepted, "tile_can_inject admitted this flit");
-                    self.ingress[node.0].pop_front();
-                }
-            }
-        }
-
-        // 3. Two-phase clocking of all routers, optionally fanned out
-        //    over the persistent worker pool.
-        self.routers.par_eval(self.policy);
-        self.routers.par_commit(self.policy);
-        self.now += 1;
-
-        // 4. Tile deliveries. Deflection may reorder a stream's flits, so
-        //    an arrived word parks in the session's reorder window and
-        //    egress advances only over contiguous sequence numbers —
-        //    delivery order observed by `drain_stream` matches injection
-        //    order, like every other backend. Latency is recorded at
-        //    release (transit plus any reorder wait: the word is not
-        //    usable earlier).
-        let now = self.now.0;
-        for node in self.mesh.iter() {
-            while let Some(flit) = self.routers.tile_recv(node.0) {
-                self.words_delivered += 1;
-                let si = self
-                    .sessions
-                    .index_of(StreamId(u32::from(flit.tag)))
-                    // Tag numbering restarts at re-provision, so an
-                    // in-flight flit could alias a new stream's tag; only
-                    // accept words whose destination matches the claimed
-                    // session. Unattributable words are dropped (the
-                    // conformance contract settles before
-                    // re-provisioning).
-                    .filter(|&si| self.sessions[si].dst == node);
-                if let Some(si) = si {
-                    let s = &mut self.sessions[si];
-                    s.x.reorder.insert(flit.seq, flit);
-                    while let Some(f) = s.x.reorder.remove(&s.x.expected_seq) {
-                        s.x.expected_seq += 1;
-                        s.x.pending = s.x.pending.saturating_sub(1);
-                        s.x.max_deflections = s.x.max_deflections.max(u64::from(f.deflections));
-                        s.words.deliver(f.payload, Some(now.saturating_sub(f.born)));
-                    }
-                }
-            }
-        }
-
-        // 5. Finalise draining releases: a session retired with
-        //    `ReleaseMode::Drain` stays registered until its last
-        //    accepted word was released above, then closes loss-free.
-        self.sessions.poll_drains(|s| s.x.pending == 0);
-    }
-}
-
-impl Clocked for DeflectionFabric {
-    fn eval(&mut self) {
-        // Like the other whole-mesh fabrics: the full cycle interleaves
-        // wiring and clocking, so the whole step lives in commit().
-    }
-
-    fn commit(&mut self) {
-        self.step_fabric();
-    }
 }
 
 /// Backend label of [`DeflectionFabric`] in [`FabricSnapshot`]s.
@@ -369,7 +275,7 @@ impl Fabric for DeflectionFabric {
             }
             ReleaseMode::Drain => {
                 // Every accepted word is already committed to the ingress
-                // queue or the network; `step_fabric` retires the session
+                // queue or the network; `step` retires the session
                 // once the last one is released to egress.
                 if self.sessions[si].x.pending == 0 {
                     self.sessions.close(si);
@@ -405,8 +311,84 @@ impl Fabric for DeflectionFabric {
         DeflectionFabric::set_parallelism(self, policy)
     }
 
+    /// One full fabric cycle: wire the links, inject from the ingress
+    /// queues, clock every router, collect and reorder deliveries.
     fn step(&mut self) {
-        self.step_fabric();
+        // 1. Wire the links: each node samples its neighbours' latched
+        //    output registers. A neighbour whose `quiet_links` flag is set
+        //    drives nothing on any port, so sampling it is provably a
+        //    no-op — the idle fast path the fleet engine relies on.
+        for node in self.mesh.iter() {
+            for port in noc_core::lane::Port::NEIGHBOURS {
+                if let Some(nb) = self.mesh.neighbour(node, port) {
+                    if self.routers.quiet_links(nb.0) {
+                        continue;
+                    }
+                    let opp = pport(port.opposite().expect("neighbour port"));
+                    if let Some(flit) = self.routers.link_output(nb.0, opp) {
+                        self.routers.set_link_input(node.0, pport(port), flit);
+                    }
+                }
+            }
+        }
+
+        // 2. Tile injection: one flit per node per cycle, and only when
+        //    the router guarantees a free output for every arrival plus
+        //    the injected flit (bufferless admission control — the only
+        //    backpressure deflection has).
+        for node in self.mesh.iter() {
+            if let Some(&flit) = self.ingress[node.0].front() {
+                if self.routers.tile_can_inject(node.0) {
+                    let accepted = self.routers.tile_inject(node.0, flit);
+                    debug_assert!(accepted, "tile_can_inject admitted this flit");
+                    self.ingress[node.0].pop_front();
+                }
+            }
+        }
+
+        // 3. Clock every router in one dispatch, optionally fanned out
+        //    over the persistent worker pool.
+        self.routers.par_step(self.policy);
+        self.now += 1;
+
+        // 4. Tile deliveries. Deflection may reorder a stream's flits, so
+        //    an arrived word parks in the session's reorder window and
+        //    egress advances only over contiguous sequence numbers —
+        //    delivery order observed by `drain_stream` matches injection
+        //    order, like every other backend. Latency is recorded at
+        //    release (transit plus any reorder wait: the word is not
+        //    usable earlier).
+        let now = self.now.0;
+        for node in self.mesh.iter() {
+            while let Some(flit) = self.routers.tile_recv(node.0) {
+                self.words_delivered += 1;
+                let si = self
+                    .sessions
+                    .index_of(StreamId(u32::from(flit.tag)))
+                    // Tag numbering restarts at re-provision, so an
+                    // in-flight flit could alias a new stream's tag; only
+                    // accept words whose destination matches the claimed
+                    // session. Unattributable words are dropped (the
+                    // conformance contract settles before
+                    // re-provisioning).
+                    .filter(|&si| self.sessions[si].dst == node);
+                if let Some(si) = si {
+                    let s = &mut self.sessions[si];
+                    s.x.reorder.insert(flit.seq, flit);
+                    while let Some(f) = s.x.reorder.remove(&s.x.expected_seq) {
+                        s.x.expected_seq += 1;
+                        s.x.pending = s.x.pending.saturating_sub(1);
+                        s.x.max_deflections = s.x.max_deflections.max(u64::from(f.deflections));
+                        s.words.deliver(f.payload, Some(now.saturating_sub(f.born)));
+                    }
+                }
+            }
+        }
+
+        // 5. Finalise draining releases: a session retired with
+        //    `ReleaseMode::Drain` stays registered until its last
+        //    accepted word was released above, then closes loss-free.
+        self.sessions.poll_drains(|s| s.x.pending == 0);
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {

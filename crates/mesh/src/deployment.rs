@@ -30,13 +30,13 @@
 //! # Ok::<(), noc_mesh::deployment::DeployError>(())
 //! ```
 //!
-//! `build_circuit()` / `build_hybrid()` / `build_deflection()` /
-//! `build_packet()` return concretely-typed
-//! deployments for code that is itself generic over `F: Fabric`; `build()`
-//! erases the backend behind `Box<dyn Fabric>` for runtime selection.
-//! Either way the scenario plumbing — CCN mapping, per-route offered-load
-//! word streams, delivery accounting, energy readout — is written once,
-//! here.
+//! There are two build paths, and both honour every knob. `build()`
+//! returns the backend [`DeploymentBuilder::fabric`] selects behind
+//! `Box<dyn Fabric>`; `build_controlled()` always wraps it in a concrete
+//! [`FabricController`], for callers that read the control plane's
+//! statistics. Either way the scenario plumbing — CCN mapping, per-route
+//! offered-load word streams, delivery accounting, energy readout — is
+//! written once, here.
 
 use crate::ccn::{Ccn, Mapping, MappingError};
 use crate::chiplet::{ChipletConfig, ChipletFabric};
@@ -184,14 +184,15 @@ impl<'g> DeploymentBuilder<'g> {
         self
     }
 
-    /// Which backend [`DeploymentBuilder::build`] instantiates (default
-    /// circuit-switched). `build_circuit`/`build_packet` ignore this.
+    /// Which backend the deployment runs on (default circuit-switched).
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.kind = kind;
         self
     }
 
-    /// Payload words per wormhole packet on the packet backend.
+    /// Payload words per wormhole packet on the packet backend and on the
+    /// hybrid's packet spill plane. Zero is a
+    /// [`ProvisionError::EmptyPackets`] at build time.
     pub fn packet_words(mut self, words: usize) -> Self {
         self.packet_words = words;
         self
@@ -239,11 +240,9 @@ impl<'g> DeploymentBuilder<'g> {
     /// routers with finite entry lanes. Cross-chiplet streams are split
     /// into boundary segments and queue at the NoI (the wait lands in
     /// their latency histograms); each chiplet is one parallel dispatch
-    /// shard under [`DeploymentBuilder::parallelism`]. Only
-    /// [`DeploymentBuilder::build`] and
-    /// [`DeploymentBuilder::build_controlled`] honour this knob. The mesh
-    /// must divide evenly into the grid (checked at build time with a
-    /// panic, like `Mesh` bounds).
+    /// shard under [`DeploymentBuilder::parallelism`]. The mesh must
+    /// divide evenly into a grid of at least 1×1; otherwise the build
+    /// fails with [`ProvisionError::ChipletGrid`].
     ///
     /// ```
     /// use noc_apps::taskgraph::{TaskGraph, TrafficShape};
@@ -270,36 +269,6 @@ impl<'g> DeploymentBuilder<'g> {
     pub fn chiplets(mut self, cw: usize, ch: usize) -> Self {
         self.chiplets = Some((cw, ch));
         self
-    }
-
-    /// The chiplet fabric this builder's knobs describe.
-    fn chiplet_fabric(&self, cw: usize, ch: usize) -> ChipletFabric {
-        let config = ChipletConfig {
-            router_params: self.router_params,
-            packet_params: self.packet_params,
-            deflection_params: self.deflection_params,
-            packet_words: self.packet_words,
-            entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
-        };
-        ChipletFabric::new(self.mesh, cw, ch, self.kind, config)
-    }
-
-    /// The hybrid fabric this builder's knobs describe.
-    fn hybrid_fabric(&self) -> HybridFabric {
-        if self.deflection_spill {
-            HybridFabric::with_deflection_spill(
-                self.mesh,
-                self.router_params,
-                self.deflection_params,
-            )
-        } else {
-            HybridFabric::new(
-                self.mesh,
-                self.router_params,
-                self.packet_params,
-                self.packet_words,
-            )
-        }
     }
 
     /// Per-cycle evaluation policy for the built fabric (default
@@ -332,10 +301,7 @@ impl<'g> DeploymentBuilder<'g> {
     /// (see [`crate::controller`]): the policy loop ticks every
     /// [`DeploymentBuilder::tick_window`] cycles of stepping, promoting
     /// spilled streams onto freed circuits and demoting idle ones through
-    /// the ordinary `release`/`admit` verbs. Only
-    /// [`DeploymentBuilder::build`] honours this knob — the control plane
-    /// is backend-erased by construction; the concretely-typed
-    /// `build_circuit`/`build_hybrid`/`build_packet` ignore it.
+    /// the ordinary `release`/`admit` verbs.
     pub fn policy(mut self, policy: Box<dyn AdmissionPolicy>) -> Self {
         self.policy = Some(policy);
         self
@@ -349,12 +315,9 @@ impl<'g> DeploymentBuilder<'g> {
         self
     }
 
-    /// Map the application (shared by every backend).
-    fn map(&self) -> Result<Mapping, MappingError> {
-        self.map_admission(self.spill)
-    }
-
-    fn map_admission(&self, spill: bool) -> Result<Mapping, MappingError> {
+    /// Map the application (shared by every backend), strictly or with
+    /// spill-tolerant admission.
+    fn map(&self, spill: bool) -> Result<Mapping, MappingError> {
         let kinds = match &self.tile_kinds {
             Some(k) => k.clone(),
             None => default_tile_kinds(&self.mesh),
@@ -367,51 +330,45 @@ impl<'g> DeploymentBuilder<'g> {
         }
     }
 
-    /// Pre-check the packet header's coordinate space so the size limit
-    /// surfaces as an error, not as `PacketFabric::new`'s panic.
-    fn check_packet_mesh(&self) -> Result<(), DeployError> {
-        if self.mesh.width > 16 || self.mesh.height > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: self.mesh.width,
-                height: self.mesh.height,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
-    /// The chiplet variant of [`DeploymentBuilder::check_packet_mesh`]:
-    /// packet coordinates only have to cover one chiplet's sub-mesh, which
-    /// is exactly how the hierarchy scales packet-coordinate backends past
-    /// the 16×16 header limit.
-    fn check_chiplet_mesh(&self, cw: usize, ch: usize) -> Result<(), DeployError> {
-        if matches!(self.kind, FabricKind::Circuit) {
-            return Ok(());
-        }
-        let inner_w = self.mesh.width / cw.max(1);
-        let inner_h = self.mesh.height / ch.max(1);
-        if inner_w > 16 || inner_h > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: inner_w,
-                height: inner_h,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Pre-check the circuit router's shape on every path that builds a
-    /// [`Soc`] (flat, hybrid or chiplet plane), so a router the packed
-    /// datapath cannot carry surfaces as an error, not as
-    /// `CircuitRouter::new`'s panic.
-    fn check_router_params(&self) -> Result<(), DeployError> {
+    /// Refuse, as a typed error, every configuration a fabric constructor
+    /// would panic on: a circuit router the packed datapath cannot carry
+    /// (flat, hybrid or chiplet plane), a packet plane with empty
+    /// wormholes, a chiplet grid that does not split the mesh, and a
+    /// packet-coordinate plane beyond the head flit's 16×16 space.
+    fn check(&self, chiplets: Option<(usize, usize)>) -> Result<(), ProvisionError> {
         let params = self.router_params;
-        if !params.fits_datapath() {
+        let circuit_plane = matches!(self.kind, FabricKind::Circuit | FabricKind::Hybrid);
+        if circuit_plane && !params.fits_datapath() {
             return Err(ProvisionError::UnsupportedRouter {
                 lanes_per_port: params.lanes_per_port,
                 lane_width: params.lane_width,
-            }
-            .into());
+            });
+        }
+        // Flat hybrids with a deflection spill plane pack no wormholes;
+        // chiplet hybrids always spill onto packets.
+        let packet_plane = match self.kind {
+            FabricKind::Packet => true,
+            FabricKind::Hybrid => chiplets.is_some() || !self.deflection_spill,
+            FabricKind::Circuit | FabricKind::Deflection => false,
+        };
+        if packet_plane && self.packet_words == 0 {
+            return Err(ProvisionError::EmptyPackets);
+        }
+        let Mesh { width, height, .. } = self.mesh;
+        let (cw, ch) = chiplets.unwrap_or((1, 1));
+        if cw == 0 || ch == 0 || !width.is_multiple_of(cw) || !height.is_multiple_of(ch) {
+            return Err(ProvisionError::ChipletGrid {
+                width,
+                height,
+                cw,
+                ch,
+            });
+        }
+        // Packet coordinates only have to cover one chiplet's sub-mesh,
+        // which is how the hierarchy scales past the 16×16 header limit.
+        let (width, height) = (width / cw, height / ch);
+        if self.kind != FabricKind::Circuit && (width > 16 || height > 16) {
+            return Err(ProvisionError::MeshTooLarge { width, height });
         }
         Ok(())
     }
@@ -424,22 +381,35 @@ impl<'g> DeploymentBuilder<'g> {
         &self,
         chiplets: Option<(usize, usize)>,
     ) -> Result<(Box<dyn Fabric>, Mapping), DeployError> {
-        if matches!(self.kind, FabricKind::Circuit | FabricKind::Hybrid) {
-            self.check_router_params()?;
-        }
-        match chiplets {
-            Some((cw, ch)) => self.check_chiplet_mesh(cw, ch)?,
-            None if !matches!(self.kind, FabricKind::Circuit) => self.check_packet_mesh()?,
-            None => {}
-        }
-        let mapping = match self.kind {
-            FabricKind::Hybrid => self.map_admission(true)?,
-            _ => self.map()?,
-        };
+        self.check(chiplets)?;
+        // The hybrid always admits with spill: routing the overflow onto
+        // its packet plane *is* the hybrid discipline.
+        let mapping = self.map(self.spill || self.kind == FabricKind::Hybrid)?;
         let fabric: Box<dyn Fabric> = match (chiplets, self.kind) {
-            (Some((cw, ch)), _) => Box::new(self.chiplet_fabric(cw, ch)),
+            (Some((cw, ch)), _) => {
+                let config = ChipletConfig {
+                    router_params: self.router_params,
+                    packet_params: self.packet_params,
+                    deflection_params: self.deflection_params,
+                    packet_words: self.packet_words,
+                    entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
+                };
+                Box::new(ChipletFabric::new(self.mesh, cw, ch, self.kind, config))
+            }
             (None, FabricKind::Circuit) => Box::new(Soc::new(self.mesh, self.router_params)),
-            (None, FabricKind::Hybrid) => Box::new(self.hybrid_fabric()),
+            (None, FabricKind::Hybrid) if self.deflection_spill => {
+                Box::new(HybridFabric::with_deflection_spill(
+                    self.mesh,
+                    self.router_params,
+                    self.deflection_params,
+                ))
+            }
+            (None, FabricKind::Hybrid) => Box::new(HybridFabric::new(
+                self.mesh,
+                self.router_params,
+                self.packet_params,
+                self.packet_words,
+            )),
             (None, FabricKind::Deflection) => {
                 Box::new(DeflectionFabric::new(self.mesh, self.deflection_params))
             }
@@ -482,49 +452,6 @@ impl<'g> DeploymentBuilder<'g> {
         let mut controller = FabricController::new(fabric, policy).with_window(self.tick_window);
         controller.provision_with(&mapping, self.provisioning)?;
         Ok(Deployment::assemble(controller, mapping, &self))
-    }
-
-    /// Deploy onto the circuit-switched mesh.
-    pub fn build_circuit(self) -> Result<Deployment<Soc>, DeployError> {
-        self.check_router_params()?;
-        let mapping = self.map()?;
-        let mut fabric = Soc::new(self.mesh, self.router_params);
-        fabric
-            .provision_with(&mapping, self.provisioning)
-            .map_err(ProvisionError::from)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
-    }
-
-    /// Deploy onto the packet-switched mesh.
-    pub fn build_packet(self) -> Result<Deployment<PacketFabric>, DeployError> {
-        self.check_packet_mesh()?;
-        let mapping = self.map()?;
-        let mut fabric = PacketFabric::new(self.mesh, self.packet_params, self.packet_words);
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
-    }
-
-    /// Deploy onto the bufferless deflection mesh.
-    pub fn build_deflection(self) -> Result<Deployment<DeflectionFabric>, DeployError> {
-        self.check_packet_mesh()?;
-        let mapping = self.map()?;
-        let mut fabric = DeflectionFabric::new(self.mesh, self.deflection_params);
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
-    }
-
-    /// Deploy onto the hybrid fabric: circuits for the admitted streams, a
-    /// clock-gated packet plane for the spillover. Admission is always
-    /// spill-tolerant — routing heavy flows onto circuits and the rest
-    /// onto the packet plane *is* the hybrid discipline — so applications
-    /// the pure circuit backend rejects deploy here.
-    pub fn build_hybrid(self) -> Result<Deployment<HybridFabric>, DeployError> {
-        self.check_router_params()?;
-        self.check_packet_mesh()?;
-        let mapping = self.map_admission(true)?;
-        let mut fabric = self.hybrid_fabric();
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
     }
 }
 
@@ -697,24 +624,6 @@ impl<F: Fabric> Deployment<F> {
             keep_payload: false,
             cycles_run: 0,
             offered_cycles: 0,
-        }
-    }
-
-    /// Erase the backend type for runtime-selected deployments.
-    pub fn boxed(self) -> Deployment<Box<dyn Fabric>>
-    where
-        F: 'static,
-    {
-        Deployment {
-            fabric: Box::new(self.fabric) as Box<dyn Fabric>,
-            mapping: self.mapping,
-            clock: self.clock,
-            traffic: self.traffic,
-            delivered_at: self.delivered_at,
-            payload_at: self.payload_at,
-            keep_payload: self.keep_payload,
-            cycles_run: self.cycles_run,
-            offered_cycles: self.offered_cycles,
         }
     }
 
@@ -1020,18 +929,15 @@ mod tests {
     fn builder_deploys_pipeline_on_both_backends() {
         let g = pipeline(3, 60.0);
         let circuit = run_generic(
-            Deployment::builder(&g)
-                .mesh(3, 3)
-                .seed(7)
-                .build_circuit()
-                .unwrap(),
+            Deployment::builder(&g).mesh(3, 3).seed(7).build().unwrap(),
             &g,
         );
         let packet = run_generic(
             Deployment::builder(&g)
                 .mesh(3, 3)
                 .seed(7)
-                .build_packet()
+                .fabric(FabricKind::Packet)
+                .build()
                 .unwrap(),
             &g,
         );
@@ -1054,7 +960,8 @@ mod tests {
             Deployment::builder(&g)
                 .mesh(3, 3)
                 .seed(7)
-                .build_hybrid()
+                .fabric(FabricKind::Hybrid)
+                .build()
                 .unwrap(),
             &g,
         );
@@ -1076,11 +983,11 @@ mod tests {
         };
         // Strict circuit admission rejects it…
         assert!(matches!(
-            base().build_circuit().unwrap_err(),
+            base().build().err().expect("strict admission rejects it"),
             DeployError::Mapping(MappingError::NoPath { .. })
         ));
         // …the hybrid carries everything, spilling the light stream…
-        let mut hybrid = base().build_hybrid().unwrap();
+        let mut hybrid = base().fabric(FabricKind::Hybrid).build().unwrap();
         hybrid.run(4000);
         hybrid.settle(4000);
         assert_eq!(hybrid.fabric().spilled_streams(), 1);
@@ -1089,7 +996,7 @@ mod tests {
             assert!(r.delivered_fraction > 0.9, "hybrid under-delivered {r:?}");
         }
         // …and the spill-admitted circuit endpoint runs the GT subset only.
-        let mut circuit = base().spill(true).build_circuit().unwrap();
+        let mut circuit = base().spill(true).build().unwrap();
         circuit.run(4000);
         circuit.settle(4000);
         let reports = circuit.report(&g);
@@ -1151,8 +1058,9 @@ mod tests {
         let err = Deployment::builder(&g)
             .mesh(2, 2)
             .clock(MegaHertz(25.0))
-            .build_circuit()
-            .unwrap_err();
+            .build()
+            .err()
+            .expect("five lanes do not fit a port");
         assert!(matches!(
             err,
             DeployError::Mapping(MappingError::EdgeTooWide { .. })
@@ -1166,8 +1074,10 @@ mod tests {
         let g = pipeline(2, 10.0);
         let err = Deployment::builder(&g)
             .mesh(17, 1)
-            .build_packet()
-            .unwrap_err();
+            .fabric(FabricKind::Packet)
+            .build()
+            .err()
+            .expect("17 columns overflow the head flit");
         assert!(matches!(
             err,
             DeployError::Provision(ProvisionError::MeshTooLarge {
@@ -1178,8 +1088,8 @@ mod tests {
     }
 
     /// Every path that builds a circuit router — flat circuit and hybrid
-    /// fabrics and circuit or hybrid chiplet planes, through `build`,
-    /// `build_controlled` and the typed builders — refuses `params` with
+    /// fabrics and circuit or hybrid chiplet planes, through `build` and
+    /// `build_controlled` — refuses `params` with
     /// `UnsupportedRouter` instead of panicking at the first `step` (or,
     /// for a lane width the converter does not shift, running wrong).
     fn assert_router_refused(params: RouterParams) {
@@ -1206,12 +1116,6 @@ mod tests {
                 assert_eq!(controlled, refused, "{what}, controlled");
             }
         }
-        let circuit = builder(FabricKind::Circuit, None).build_circuit().err();
-        assert_eq!(circuit, refused);
-        assert_eq!(
-            builder(FabricKind::Hybrid, None).build_hybrid().err(),
-            refused
-        );
     }
 
     #[test]
@@ -1246,6 +1150,59 @@ mod tests {
             lane_width: 2,
             ..RouterParams::paper()
         });
+    }
+
+    /// `build()` and `build_controlled()` both refuse `configure`'s
+    /// builder over a 4×4 mesh with `refused`, instead of panicking in a
+    /// fabric constructor.
+    fn assert_refused(
+        configure: impl Fn(DeploymentBuilder<'_>) -> DeploymentBuilder<'_>,
+        refused: ProvisionError,
+    ) {
+        let g = pipeline(2, 10.0);
+        let builder = || configure(Deployment::builder(&g).mesh(4, 4));
+        let refused = Some(DeployError::Provision(refused));
+        assert_eq!(builder().build().err(), refused);
+        assert_eq!(builder().build_controlled().err(), refused);
+    }
+
+    #[test]
+    fn empty_packets_are_a_deploy_error() {
+        for kind in [FabricKind::Packet, FabricKind::Hybrid] {
+            let empty = ProvisionError::EmptyPackets;
+            assert_refused(|b| b.fabric(kind).packet_words(0), empty.clone());
+            assert_refused(|b| b.fabric(kind).packet_words(0).chiplets(2, 2), empty);
+        }
+        // A deflection spill plane packs no wormholes.
+        let g = pipeline(2, 10.0);
+        let spill = Deployment::builder(&g).fabric(FabricKind::Hybrid);
+        assert!(spill.deflection_spill(true).packet_words(0).build().is_ok());
+    }
+
+    #[test]
+    fn chiplet_grid_that_does_not_divide_the_mesh_is_a_deploy_error() {
+        let (width, height, cw, ch) = (4, 4, 3, 3);
+        for kind in FabricKind::ALL {
+            let grid = ProvisionError::ChipletGrid {
+                width,
+                height,
+                cw,
+                ch,
+            };
+            assert_refused(|b| b.fabric(kind).chiplets(cw, ch), grid);
+        }
+    }
+
+    #[test]
+    fn empty_chiplet_grid_is_a_deploy_error() {
+        let (width, height, cw, ch) = (4, 4, 0, 2);
+        let grid = ProvisionError::ChipletGrid {
+            width,
+            height,
+            cw,
+            ch,
+        };
+        assert_refused(|b| b.chiplets(cw, ch), grid);
     }
 
     #[test]
@@ -1361,7 +1318,7 @@ mod tests {
         let dep = Deployment::builder(&g)
             .mesh(2, 2)
             .clock(MegaHertz(50.0))
-            .build_circuit()
+            .build()
             .unwrap();
         assert_eq!(dep.energy_model().clock(), MegaHertz(50.0));
     }

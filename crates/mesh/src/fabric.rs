@@ -40,7 +40,6 @@ use noc_packet::vc::VcId;
 use noc_power::area::packet_router_area;
 use noc_power::estimator::{PowerEstimator, PowerReport};
 use noc_sim::activity::ComponentActivity;
-use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{FemtoJoules, MegaHertz, SquareMicroMeters};
@@ -123,6 +122,19 @@ pub enum ProvisionError {
         /// Requested lane width in bits (the datapath carries 4).
         lane_width: u32,
     },
+    /// Wormhole packets were asked to carry zero payload words.
+    EmptyPackets,
+    /// The mesh does not split evenly into a non-empty chiplet grid.
+    ChipletGrid {
+        /// Mesh width.
+        width: usize,
+        /// Mesh height.
+        height: usize,
+        /// Requested chiplet columns.
+        cw: usize,
+        /// Requested chiplet rows.
+        ch: usize,
+    },
 }
 
 impl fmt::Display for ProvisionError {
@@ -144,6 +156,18 @@ impl fmt::Display for ProvisionError {
                 f,
                 "the circuit router carries 1..=16 lanes of 4 bits per port, \
                  not {lanes_per_port} lanes of {lane_width} bits"
+            ),
+            ProvisionError::EmptyPackets => {
+                f.write_str("a wormhole packet needs at least one payload word")
+            }
+            ProvisionError::ChipletGrid {
+                width,
+                height,
+                cw,
+                ch,
+            } => write!(
+                f,
+                "mesh {width}x{height} does not divide into a {cw}x{ch} chiplet grid"
             ),
         }
     }
@@ -271,11 +295,11 @@ impl std::error::Error for SnapshotError {}
 
 /// A whole network-on-chip usable as an application substrate.
 ///
-/// The contract layers over [`Clocked`]: `step` advances one full SoC
-/// cycle (wiring + tiles + two-phase router clocking), and between steps
-/// the **stream-addressed** word-level interface moves payload. Streams —
-/// the paper's per-connection unit of guarantee — are first-class
-/// sessions:
+/// [`Fabric::step`] is the one way to advance a fabric: one full cycle
+/// (link wiring, tile injection, every router plane clocked in one
+/// dispatch, deliveries). Between steps the **stream-addressed**
+/// word-level interface moves payload. Streams — the paper's
+/// per-connection unit of guarantee — are first-class sessions:
 ///
 /// 1. [`Fabric::provision`] installs a CCN [`Mapping`] and returns one
 ///    [`StreamId`] handle per stream it serves (circuits for the
@@ -358,7 +382,7 @@ impl std::error::Error for SnapshotError {}
 /// let model = EnergyModel::calibrated(MegaHertz(100.0));
 /// assert!(fabric.total_energy(&model).value() > 0.0);
 /// ```
-pub trait Fabric: Clocked + Send {
+pub trait Fabric: Send {
     /// Which switching discipline this is.
     fn kind(&self) -> FabricKind;
 
@@ -771,103 +795,6 @@ impl PacketFabric {
             });
         }
     }
-
-    /// One full fabric cycle: wire links and credits, inject from the
-    /// ingress queues, clock every router two-phase, collect deliveries.
-    fn step_fabric(&mut self) {
-        // 1. Wire the links: flits forward, credits backward. Outputs are
-        //    latched, so sampling before eval is race-free. A neighbour
-        //    whose `quiet_links` flag is set drives no flit and no credit
-        //    pulse on ANY port, so sampling it is provably a no-op.
-        for node in self.mesh.iter() {
-            for port in noc_core::lane::Port::NEIGHBOURS {
-                if let Some(nb) = self.mesh.neighbour(node, port) {
-                    if self.routers.quiet_links(nb.0) {
-                        continue;
-                    }
-                    let opp = pport(port.opposite().expect("neighbour port"));
-                    let p = pport(port);
-                    if let Some((vc, flit)) = self.routers.link_output(nb.0, opp).flit {
-                        self.routers.set_link_input(node.0, p, VcId(vc), flit);
-                    }
-                    for vc in 0..self.params.vcs as u8 {
-                        if self.routers.credit_output(nb.0, opp, VcId(vc)) {
-                            self.routers.set_credit_input(node.0, p, VcId(vc), true);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 2. Tile injection: one flit per node per cycle, on VC 0 (whole
-        //    packets stay on one VC; heads only switch between packets).
-        for node in self.mesh.iter() {
-            if let Some(&flit) = self.ingress[node.0].front() {
-                if self.routers.tile_inject(node.0, VcId(0), flit) {
-                    self.ingress[node.0].pop_front();
-                }
-            }
-        }
-
-        // 3. Two-phase clocking of all routers, optionally fanned out over
-        //    the persistent worker pool: inputs were sampled from latched
-        //    outputs in phase 1, so router evaluation is order-free.
-        self.routers.par_eval(self.policy);
-        self.routers.par_commit(self.policy);
-        self.now += 1;
-
-        // 4. Tile deliveries: the head names the wormhole's stream (its
-        //    tag rides the spare coordinate nibbles), body/tail words land
-        //    in that stream's egress with their latency recorded. Streams
-        //    on different VCs interleave at the tile; the per-VC slot
-        //    keeps their attribution separate.
-        for node in self.mesh.iter() {
-            while let Some((vc, flit)) = self.routers.tile_recv(node.0) {
-                match flit.kind {
-                    FlitKind::Head => {
-                        self.rx_stream[node.0][vc.index()] = flit.stream_tag().map(u32::from);
-                    }
-                    FlitKind::Body | FlitKind::Tail => {
-                        self.words_delivered += 1;
-                        let si = self.rx_stream[node.0][vc.index()]
-                            .and_then(|tag| self.sessions.index_of(StreamId(tag)))
-                            // Tag numbering restarts at re-provision, so a
-                            // leftover wormhole could alias a new stream's
-                            // tag; only accept words whose destination
-                            // matches the claimed session.
-                            .filter(|&si| self.sessions[si].dst == node);
-                        // Unattributable words — an in-flight wormhole from
-                        // a plan a re-provision replaced — are dropped (the
-                        // conformance contract settles before
-                        // re-provisioning; `words_delivered` still counts
-                        // them at fabric level).
-                        if let Some(si) = si {
-                            let now = self.now.0;
-                            let s = &mut self.sessions[si];
-                            let ts = s.x.pending_ts.pop_front();
-                            s.words.deliver(flit.payload, ts.map(|ts| now - ts));
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Finalise draining releases: a session retired with
-        //    `ReleaseMode::Drain` stays registered until its last accepted
-        //    word was delivered above, then closes loss-free.
-        self.sessions.poll_drains(|s| s.x.pending_ts.is_empty());
-    }
-}
-
-impl Clocked for PacketFabric {
-    fn eval(&mut self) {
-        // Like Soc: the full cycle interleaves wiring and clocking, so the
-        // whole step lives in commit() and eval is a no-op.
-    }
-
-    fn commit(&mut self) {
-        self.step_fabric();
-    }
 }
 
 /// Backend label of [`PacketFabric`] in [`FabricSnapshot`]s.
@@ -968,7 +895,7 @@ impl Fabric for PacketFabric {
             }
             ReleaseMode::Drain => {
                 // Launch the partially filled packet — a drain delivers
-                // everything accepted so far — and let `step_fabric`
+                // everything accepted so far — and let `step`
                 // retire the session once the last word lands.
                 self.close_stream(si);
                 if self.sessions[si].x.pending_ts.is_empty() {
@@ -1012,8 +939,89 @@ impl Fabric for PacketFabric {
         PacketFabric::set_parallelism(self, policy)
     }
 
+    /// One full fabric cycle: wire links and credits, inject from the
+    /// ingress queues, clock every router, collect deliveries.
     fn step(&mut self) {
-        self.step_fabric();
+        // 1. Wire the links: flits forward, credits backward. Outputs are
+        //    latched, so sampling before eval is race-free. A neighbour
+        //    whose `quiet_links` flag is set drives no flit and no credit
+        //    pulse on ANY port, so sampling it is provably a no-op.
+        for node in self.mesh.iter() {
+            for port in noc_core::lane::Port::NEIGHBOURS {
+                if let Some(nb) = self.mesh.neighbour(node, port) {
+                    if self.routers.quiet_links(nb.0) {
+                        continue;
+                    }
+                    let opp = pport(port.opposite().expect("neighbour port"));
+                    let p = pport(port);
+                    if let Some((vc, flit)) = self.routers.link_output(nb.0, opp).flit {
+                        self.routers.set_link_input(node.0, p, VcId(vc), flit);
+                    }
+                    for vc in 0..self.params.vcs as u8 {
+                        if self.routers.credit_output(nb.0, opp, VcId(vc)) {
+                            self.routers.set_credit_input(node.0, p, VcId(vc), true);
+                        }
+                    }
+                }
+            }
+        }
+
+        // 2. Tile injection: one flit per node per cycle, on VC 0 (whole
+        //    packets stay on one VC; heads only switch between packets).
+        for node in self.mesh.iter() {
+            if let Some(&flit) = self.ingress[node.0].front() {
+                if self.routers.tile_inject(node.0, VcId(0), flit) {
+                    self.ingress[node.0].pop_front();
+                }
+            }
+        }
+
+        // 3. Clock every router in one dispatch, optionally fanned out over
+        //    the persistent worker pool: inputs were sampled from latched
+        //    outputs in phase 1, so router order is free.
+        self.routers.par_step(self.policy);
+        self.now += 1;
+
+        // 4. Tile deliveries: the head names the wormhole's stream (its
+        //    tag rides the spare coordinate nibbles), body/tail words land
+        //    in that stream's egress with their latency recorded. Streams
+        //    on different VCs interleave at the tile; the per-VC slot
+        //    keeps their attribution separate.
+        for node in self.mesh.iter() {
+            while let Some((vc, flit)) = self.routers.tile_recv(node.0) {
+                match flit.kind {
+                    FlitKind::Head => {
+                        self.rx_stream[node.0][vc.index()] = flit.stream_tag().map(u32::from);
+                    }
+                    FlitKind::Body | FlitKind::Tail => {
+                        self.words_delivered += 1;
+                        let si = self.rx_stream[node.0][vc.index()]
+                            .and_then(|tag| self.sessions.index_of(StreamId(tag)))
+                            // Tag numbering restarts at re-provision, so a
+                            // leftover wormhole could alias a new stream's
+                            // tag; only accept words whose destination
+                            // matches the claimed session.
+                            .filter(|&si| self.sessions[si].dst == node);
+                        // Unattributable words — an in-flight wormhole from
+                        // a plan a re-provision replaced — are dropped (the
+                        // conformance contract settles before
+                        // re-provisioning; `words_delivered` still counts
+                        // them at fabric level).
+                        if let Some(si) = si {
+                            let now = self.now.0;
+                            let s = &mut self.sessions[si];
+                            let ts = s.x.pending_ts.pop_front();
+                            s.words.deliver(flit.payload, ts.map(|ts| now - ts));
+                        }
+                    }
+                }
+            }
+        }
+
+        // 5. Finalise draining releases: a session retired with
+        //    `ReleaseMode::Drain` stays registered until its last accepted
+        //    word was delivered above, then closes loss-free.
+        self.sessions.poll_drains(|s| s.x.pending_ts.is_empty());
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
@@ -1050,16 +1058,6 @@ impl Fabric for PacketFabric {
 // ---------------------------------------------------------------------------
 // Boxed fabrics: runtime backend selection through the same generic code
 // ---------------------------------------------------------------------------
-
-impl Clocked for Box<dyn Fabric> {
-    fn eval(&mut self) {
-        (**self).eval()
-    }
-
-    fn commit(&mut self) {
-        (**self).commit()
-    }
-}
 
 impl Fabric for Box<dyn Fabric> {
     fn kind(&self) -> FabricKind {

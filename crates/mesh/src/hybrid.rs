@@ -57,7 +57,6 @@ use noc_core::params::RouterParams;
 use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentActivity;
-use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_join, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
@@ -349,37 +348,11 @@ impl HybridFabric {
         self.spill.as_fabric_mut().set_parallelism(policy);
     }
 
-    fn step_planes(&mut self) {
-        // Fork the planes onto the pool. With work-stealing deques there
-        // is no reason to serialise them: a nested router dispatch inside
-        // either side publishes its blocks for any idle lane to steal, so
-        // the fork composes with full-width router fan-out instead of
-        // clamping it (par_join itself degrades to inline calls under a
-        // sequential or single-lane policy without waking the pool).
-        let nodes = Soc::mesh(&self.circuit).nodes();
-        let circuit = &mut self.circuit;
-        let spill = self.spill.as_fabric_mut();
-        par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());
-        self.now += 1;
-    }
-
     fn entry(&self, stream: StreamId) -> HybridHandle {
         *self
             .handles
             .get(stream)
             .unwrap_or_else(|| panic!("{stream} is not served by this hybrid fabric"))
-    }
-}
-
-impl Clocked for HybridFabric {
-    fn eval(&mut self) {
-        // Like Soc and PacketFabric: the full hybrid cycle interleaves
-        // wiring and clocking inside each plane, so the whole step lives
-        // in commit() and eval is a no-op.
-    }
-
-    fn commit(&mut self) {
-        self.step_planes();
     }
 }
 
@@ -582,7 +555,17 @@ impl Fabric for HybridFabric {
     }
 
     fn step(&mut self) {
-        self.step_planes();
+        // Fork the planes onto the pool. With work-stealing deques there
+        // is no reason to serialise them: a nested router dispatch inside
+        // either side publishes its blocks for any idle lane to steal, so
+        // the fork composes with full-width router fan-out instead of
+        // clamping it (par_join itself degrades to inline calls under a
+        // sequential or single-lane policy without waking the pool).
+        let nodes = Soc::mesh(&self.circuit).nodes();
+        let circuit = &mut self.circuit;
+        let spill = self.spill.as_fabric_mut();
+        par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());
+        self.now += 1;
     }
 
     /// Both planes' activity merged per component kind. Energy is linear

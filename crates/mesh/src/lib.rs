@@ -64,10 +64,13 @@
 //!   their latency histogram) and each chiplet is one parallel dispatch
 //!   shard on the shared worker pool.
 //! * [`deployment`] — the [`deployment::Deployment`] builder: task graph
-//!   in, provisioned and traffic-bound fabric out, generic over the
-//!   backend (`build_circuit`/`build_hybrid`/`build_packet`, spill or
-//!   strict admission, `.provisioning(ProvisionMode)` cold-start,
-//!   `.policy(...)` control plane).
+//!   in, provisioned and traffic-bound fabric out. Two build paths,
+//!   `build()` (any backend behind `Box<dyn Fabric>`) and
+//!   `build_controlled()` (always under a concrete
+//!   [`controller::FabricController`]), and both honour every knob:
+//!   `.fabric(kind)`, `.chiplets(..)`, spill or strict admission,
+//!   `.provisioning(ProvisionMode)` cold-start, `.policy(...)` control
+//!   plane.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -80,7 +83,6 @@ pub mod deflection;
 pub mod deployment;
 pub mod fabric;
 pub mod hybrid;
-pub mod packet_mesh;
 pub mod reconfig;
 mod session;
 pub mod soc;
@@ -103,7 +105,6 @@ pub use fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
 };
 pub use hybrid::{HybridFabric, SpillPlane, SpillStats};
-pub use packet_mesh::{PacketMesh, RandomTraffic};
 pub use soc::Soc;
 pub use stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,

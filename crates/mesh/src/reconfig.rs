@@ -17,11 +17,10 @@ use noc_core::config::{ConfigEntry, ConfigWord};
 use noc_core::error::ConfigError;
 use noc_core::params::RouterParams;
 use noc_sim::time::Cycle;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The configuration-word diff between two mappings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigPlan {
     /// Words deactivating output lanes the new mapping no longer uses.
     pub teardown: Vec<(NodeId, ConfigWord)>,

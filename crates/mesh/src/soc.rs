@@ -37,7 +37,6 @@ use noc_core::phit::Phit;
 use noc_core::router::CircuitRouter;
 use noc_power::area::circuit_router_area;
 use noc_sim::activity::{ActivityLedger, ComponentActivity};
-use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_step, ParPolicy};
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{Bandwidth, SquareMicroMeters};
@@ -604,19 +603,6 @@ impl Soc {
         (0..self.tiles.len())
             .map(|n| self.tiles.total_received(n))
             .sum()
-    }
-}
-
-// Let a whole SoC be stepped by generic drivers too.
-impl Clocked for Soc {
-    fn eval(&mut self) {
-        // The SoC's step() interleaves wiring and clocking; expose the
-        // complete cycle through commit() and make eval a no-op so that
-        // `kernel::step(&mut soc)` advances exactly one cycle.
-    }
-
-    fn commit(&mut self) {
-        self.step();
     }
 }
 

@@ -29,7 +29,6 @@
 use crate::topology::NodeId;
 use noc_sim::stats::LatencyHistogram;
 use noc_sim::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Handle of one provisioned stream session.
@@ -41,7 +40,7 @@ use std::fmt;
 /// runtime [`crate::fabric::Fabric::admit`] continues the numbering. A
 /// handle stays valid (for `drain_stream`/`stream_stats`) after
 /// [`crate::fabric::Fabric::release`]; re-provisioning resets the space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub u32);
 
 impl fmt::Display for StreamId {
@@ -51,7 +50,7 @@ impl fmt::Display for StreamId {
 }
 
 /// Which switching plane serves a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamPlane {
     /// Provisioned circuit lanes (guaranteed throughput).
     Circuit,
@@ -88,7 +87,7 @@ impl fmt::Display for StreamPlane {
 /// [`crate::fabric::Fabric::clear_activity`], which resets *energy*
 /// ledgers only — service telemetry and energy accounting are separate
 /// measurement windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
     /// The stream's session handle.
     pub id: StreamId,
@@ -156,7 +155,7 @@ pub fn gt_no_worse_than_be(stats: &[StreamStats]) -> bool {
 }
 
 /// How [`crate::fabric::Fabric::release`] retires a stream session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReleaseMode {
     /// Immediate teardown: undelivered ingress backlog is discarded and
     /// words mid-circuit are dropped with the lanes — the historical
@@ -189,7 +188,7 @@ impl fmt::Display for ReleaseMode {
 
 /// How [`crate::fabric::Fabric::provision_with`] installs the initial
 /// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProvisionMode {
     /// Configuration words are written straight into the routers — the
     /// zero-cost testbench path (equivalent in final router state to BE
@@ -223,7 +222,7 @@ impl fmt::Display for ProvisionMode {
 
 /// A stream's guaranteed-throughput ask, the input to runtime admission
 /// ([`crate::fabric::Fabric::admit`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamDemand {
     /// Source tile.
     pub src: NodeId,
@@ -254,7 +253,7 @@ impl From<&crate::ccn::MappedStream> for StreamDemand {
 }
 
 /// Why runtime admission (or a release) of a stream failed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmitError {
     /// The demand alone exceeds a port's parallel-lane capacity.
     TooWide {

@@ -18,11 +18,10 @@
 use noc_apps::traffic::{DataPattern, PhitSource};
 use noc_core::phit::Phit;
 use noc_core::router::CircuitRouter;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The heterogeneous tile kinds of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileKind {
     /// General-purpose processor.
     Gpp,

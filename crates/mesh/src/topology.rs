@@ -7,15 +7,14 @@
 //! the north-west corner — matching `noc_packet::routing::Coords`.
 
 use noc_core::lane::Port;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense index of a mesh node (router + tile pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// A `width × height` mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     /// Columns.
     pub width: usize,

@@ -65,7 +65,6 @@ use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, Compon
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_indexed, ParPolicy};
 use noc_sim::signal::{Reg, Wire};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Number of ports (fixed; same five-port geometry as the packet router).
@@ -87,7 +86,7 @@ pub const DEFLECT_LINK_BITS: u32 = 64;
 /// for age arbitration, a per-stream sequence number (deflection reorders
 /// flits; receivers reassemble in `seq` order) and a running misroute
 /// count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeflectFlit {
     /// Destination tile coordinates.
     pub dest: Coords,
@@ -148,7 +147,7 @@ fn image_of(f: Option<&DeflectFlit>) -> u64 {
 }
 
 /// Configuration of one deflection router (shared across a slab).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeflectionParams {
     /// This router's mesh coordinates.
     pub coords: Coords,
@@ -575,8 +574,8 @@ impl DeflectionSlab {
     /// # Safety
     /// Caller must guarantee no other live view of the same `r` and that
     /// the slab outlives the returned `Lane` (upheld by the dispatch
-    /// barrier: `par_eval`/`par_commit` borrow the slab mutably for the
-    /// whole dispatch, and each index runs exactly once).
+    /// barrier: `par_step` borrows the slab mutably for the whole
+    /// dispatch, and each index runs exactly once).
     unsafe fn lane<'a>(p: SlabPtrs, r: usize) -> Lane<'a> {
         use std::slice::{from_raw_parts, from_raw_parts_mut};
         // SAFETY: `r` is a unique, in-bounds stripe index (caller contract
@@ -624,25 +623,21 @@ impl DeflectionSlab {
         commit_lane(&params, &idle, unsafe { Self::lane(ptrs, r) });
     }
 
-    /// Evaluate every router, fanned out per `policy`. Bit-identical to a
-    /// sequential sweep in index order.
-    pub fn par_eval(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let ptrs = self.ptrs();
-        par_indexed(self.n, policy, move |r| {
-            // SAFETY: par_indexed runs each index exactly once; stripes
-            // are disjoint per index; the dispatch barrier outlives lanes.
-            eval_lane(&params, unsafe { Self::lane(ptrs, r) });
-        });
-    }
-
-    /// Commit every router, fanned out per `policy`.
-    pub fn par_commit(&mut self, policy: ParPolicy) {
+    /// Clock every router one cycle — each one's eval then its commit —
+    /// in one dispatch, fanned out per `policy`. Exact: a router's lane
+    /// borrows only its own stripe, and its link and credit inputs were
+    /// sampled before the call, so no router can see whether another has
+    /// committed yet. Bit-identical to a sequential sweep in index order.
+    pub fn par_step(&mut self, policy: ParPolicy) {
         let params = self.params;
         let idle = self.idle;
         let ptrs = self.ptrs();
         par_indexed(self.n, policy, move |r| {
-            // SAFETY: as in `par_eval`.
+            // SAFETY: par_indexed runs each index exactly once; stripes
+            // are disjoint per index; the dispatch barrier outlives lanes,
+            // and the eval view is dropped before the commit view is made.
+            eval_lane(&params, unsafe { Self::lane(ptrs, r) });
+            // SAFETY: as above.
             commit_lane(&params, &idle, unsafe { Self::lane(ptrs, r) });
         });
     }
@@ -1021,8 +1016,7 @@ mod tests {
 
         fn step(&mut self, policy: ParPolicy) {
             self.wire();
-            self.slab.par_eval(policy);
-            self.slab.par_commit(policy);
+            self.slab.par_step(policy);
         }
 
         fn total_activity(&self) -> ActivityLedger {
@@ -1216,8 +1210,7 @@ mod tests {
                         }
                     }
                 }
-                mesh.slab.par_eval(ParPolicy::Sequential);
-                mesh.slab.par_commit(ParPolicy::Sequential);
+                mesh.slab.par_step(ParPolicy::Sequential);
                 for r in 0..mesh.slab.len() {
                     while let Some(f) = mesh.slab.tile_recv(r) {
                         delivered.push((r, f));
@@ -1265,8 +1258,7 @@ mod tests {
                 let g = DeflectFlit::new(Coords::new(0, 0), 2, !cycle as u16, cycle, cycle);
                 assert_eq!(slab.slab.tile_inject(1, g), right.tile_inject(g));
             }
-            slab.slab.par_eval(ParPolicy::Sequential);
-            slab.slab.par_commit(ParPolicy::Sequential);
+            slab.slab.par_step(ParPolicy::Sequential);
             noc_sim::kernel::step(&mut left);
             noc_sim::kernel::step(&mut right);
             for port in PacketPort::ALL {
@@ -1328,8 +1320,7 @@ mod tests {
                         }
                     }
                 }
-                mesh.slab.par_eval(policy);
-                mesh.slab.par_commit(policy);
+                mesh.slab.par_step(policy);
                 for r in 0..mesh.slab.len() {
                     while let Some(f) = mesh.slab.tile_recv(r) {
                         delivered.push((r, f));

@@ -9,11 +9,10 @@
 //! is exactly the per-packet overhead circuit switching avoids.
 
 use crate::routing::Coords;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; payload encodes the destination coordinates.
     Head,
@@ -45,7 +44,7 @@ impl FlitKind {
 }
 
 /// One 16-bit flit plus its 2-bit kind sideband.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flit {
     /// Flit framing kind.
     pub kind: FlitKind,
@@ -152,7 +151,7 @@ impl fmt::Display for Flit {
 ///
 /// Wire accounting: 16 data + 2 kind + `log2(vcs)` VC id + 1 valid ≈ 21
 /// wires forward, `vcs` credit wires reverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkWord {
     /// The flit on the wire this cycle, with its VC tag.
     pub flit: Option<(u8, Flit)>,
@@ -179,7 +178,7 @@ impl LinkWord {
 }
 
 /// A multi-word message as the tile interface sees it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Destination tile coordinates.
     pub dest: Coords,

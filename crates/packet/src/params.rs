@@ -1,14 +1,13 @@
 //! Design-time parameters of the packet-switched baseline.
 
 use crate::routing::Coords;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ports of the packet router — same five-port shape as the circuit router.
 ///
 /// Kept as a separate type from `noc_core::Port` so the two crates stay
 /// independent; `noc-mesh` maps between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum PacketPort {
     /// The local tile interface.
@@ -73,7 +72,7 @@ impl fmt::Display for PacketPort {
 }
 
 /// Design-time parameters of the packet router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketParams {
     /// Virtual channels per input port (paper comparison: 4, matching the
     /// circuit router's 4 lanes).

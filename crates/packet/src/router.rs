@@ -448,8 +448,8 @@ impl RouterSlab {
     /// # Safety
     /// Caller must guarantee no other live view of the same `r` and that
     /// the slab outlives the returned `Lane` (upheld by the dispatch
-    /// barrier: `par_eval`/`par_commit` borrow the slab mutably for the
-    /// whole dispatch, and each index runs exactly once).
+    /// barrier: `par_step` borrows the slab mutably for the whole
+    /// dispatch, and each index runs exactly once).
     unsafe fn lane<'a>(p: SlabPtrs, vcs: usize, r: usize) -> Lane<'a> {
         use std::slice::from_raw_parts_mut;
         let pv = P * vcs;
@@ -501,25 +501,21 @@ impl RouterSlab {
         commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
     }
 
-    /// Evaluate every router, fanned out per `policy`. Bit-identical to a
-    /// sequential sweep in index order.
-    pub fn par_eval(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let ptrs = self.ptrs();
-        par_indexed(self.n, policy, move |r| {
-            // SAFETY: par_indexed runs each index exactly once; stripes
-            // are disjoint per index; the dispatch barrier outlives lanes.
-            eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
-        });
-    }
-
-    /// Commit every router, fanned out per `policy`.
-    pub fn par_commit(&mut self, policy: ParPolicy) {
+    /// Clock every router one cycle — each one's eval then its commit —
+    /// in one dispatch, fanned out per `policy`. Exact: a router's lane
+    /// borrows only its own stripe, and its link and credit inputs were
+    /// sampled before the call, so no router can see whether another has
+    /// committed yet. Bit-identical to a sequential sweep in index order.
+    pub fn par_step(&mut self, policy: ParPolicy) {
         let params = self.params;
         let idle = self.idle;
         let ptrs = self.ptrs();
         par_indexed(self.n, policy, move |r| {
-            // SAFETY: as in `par_eval`.
+            // SAFETY: par_indexed runs each index exactly once; stripes
+            // are disjoint per index; the dispatch barrier outlives lanes,
+            // and the eval view is dropped before the commit view is made.
+            eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
+            // SAFETY: as above.
             commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
         });
     }

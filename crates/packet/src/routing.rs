@@ -6,11 +6,10 @@
 //! grow eastward in X and southward in Y, matching `noc-mesh`'s layout.
 
 use crate::params::PacketPort;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tile coordinates in the mesh: `x` grows east, `y` grows south.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coords {
     /// Column (eastward).
     pub x: u8,

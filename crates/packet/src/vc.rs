@@ -8,10 +8,9 @@
 
 use crate::fifo::FlitFifo;
 use crate::params::PacketPort;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a virtual channel within a port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VcId(pub u8);
 
 impl VcId {

@@ -16,7 +16,6 @@ use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentKind;
 use noc_sim::units::SquareMicroMeters;
-use serde::{Deserialize, Serialize};
 
 /// Layout overhead of the circuit router's crossbar (wire-dominated
 /// 16×20 switch). CALIBRATED to Table 4's 0.0258 mm².
@@ -45,7 +44,7 @@ pub const OVERHEAD_PACKET_MISC: f64 = 1.049;
 pub const OVERHEAD_NOI_ENTRY: f64 = 1.25;
 
 /// Per-component silicon areas of one router.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaBreakdown {
     /// `(component, area)` pairs in Table 4 row order.
     pub components: Vec<(ComponentKind, SquareMicroMeters)>,

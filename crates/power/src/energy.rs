@@ -12,10 +12,9 @@
 
 use noc_sim::activity::{ActivityClass, ComponentKind};
 use noc_sim::units::FemtoJoules;
-use serde::{Deserialize, Serialize};
 
 /// Energy per activity event, by class, with per-component scaling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTable {
     /// fJ per event for each [`ActivityClass`], indexed by class.
     base_fj: [f64; ActivityClass::COUNT],

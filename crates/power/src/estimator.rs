@@ -16,11 +16,10 @@ use crate::tech::Technology;
 use noc_sim::activity::{ComponentActivity, ComponentKind};
 use noc_sim::time::CycleCount;
 use noc_sim::units::{FemtoJoules, MegaHertz, MicroWatts, SquareMicroMeters};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A power estimate in the three Power Compiler categories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Leakage power.
     pub static_power: MicroWatts,

@@ -14,11 +14,10 @@ use noc_core::params::RouterParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentKind;
 use noc_sim::units::{Bandwidth, MegaHertz, SquareMicroMeters};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One column of Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisRow {
     /// Router name as printed.
     pub name: String,
@@ -71,7 +70,7 @@ impl fmt::Display for SynthesisRow {
 }
 
 /// The full Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4 {
     /// The paper's circuit-switched router (modelled).
     pub circuit: SynthesisRow,

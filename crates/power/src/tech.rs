@@ -6,10 +6,9 @@
 //! here, in one struct, so no model file hides a magic number.
 
 use noc_sim::units::{MegaHertz, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 /// Process/library parameters used by the area, timing and power models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Technology {
     /// Supply voltage \[V\]. TCB013LVHP is a 1.2 V low-voltage library.
     pub vdd: f64,

@@ -13,7 +13,6 @@
 //! level at which the paper's own observations are phrased ("the necessary
 //! buffers and extra control in the crossbar of the packet-switched router").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classes of energy events counted during simulation.
@@ -22,7 +21,7 @@ use std::fmt;
 /// categories (paper Section 7.2): `RegClock` feeds the internal-cell offset,
 /// toggle classes feed switching power, and static power needs no events at
 /// all (it is proportional to area and time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum ActivityClass {
     /// One architectural register *bit* receiving a clock edge. Counted every
@@ -111,7 +110,7 @@ impl fmt::Display for ActivityClass {
 /// never shared across threads while counting (parallel mesh stepping gives
 /// each router exclusive ownership of its own state), so no atomics are
 /// needed on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ActivityLedger {
     counts: [u64; ActivityClass::COUNT],
 }
@@ -204,7 +203,7 @@ impl fmt::Display for ActivityLedger {
 /// Mirrors the component rows of the paper's Table 4, so that the power model
 /// can both apply component-specific energy coefficients and report a
 /// per-component breakdown comparable to the published area breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComponentKind {
     /// The switch fabric (muxes + output registers).
     Crossbar,
@@ -265,7 +264,7 @@ impl fmt::Display for ComponentKind {
 /// A snapshot of one component's activity, tagged with its kind.
 ///
 /// Routers return a `Vec<ComponentActivity>`; the power estimator consumes it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentActivity {
     /// Which structural component the ledger describes.
     pub kind: ComponentKind,

@@ -21,8 +21,8 @@
 //!   arbitration decisions, …) that the `noc-power` crate later multiplies by
 //!   per-event energies, exactly like a gate-level power tool multiplies
 //!   toggles by cell energies.
-//! * [`kernel`] — the [`kernel::Clocked`] contract and [`kernel::Simulator`],
-//!   a two-phase stepping loop.
+//! * [`kernel`] — the two-phase [`kernel::Clocked`] contract every router
+//!   model implements, and [`kernel::step`] to clock one component.
 //! * [`par`] — data-parallel stepping of many independent components per cycle
 //!   on a persistent [`par::WorkerPool`] of parked threads (used by `noc-mesh`
 //!   for large meshes; see `ARCHITECTURE.md` at the repo root for how the
@@ -49,7 +49,7 @@ pub mod units;
 
 pub use activity::{ActivityClass, ActivityLedger};
 pub use bits::Bits;
-pub use kernel::{Clocked, Simulator};
+pub use kernel::Clocked;
 pub use rng::SplitMix64;
 pub use signal::{Reg, Wire};
 pub use time::{Cycle, CycleCount};

@@ -56,8 +56,8 @@ use std::thread;
 /// Number of CPUs available to the process, sampled once.
 ///
 /// `thread::available_parallelism` can be a syscall on some platforms, and
-/// [`ParPolicy::Auto`] resolves lanes twice per simulated cycle per fabric
-/// (eval + commit) — exactly the hot path this module exists to speed up.
+/// [`ParPolicy::Auto`] resolves lanes every simulated cycle per router
+/// plane — exactly the hot path this module exists to speed up.
 /// The value is effectively fixed per process (the global pool sizes itself
 /// from it once), so cache it.
 fn available_cpus() -> usize {
@@ -619,7 +619,7 @@ where
 ///
 /// Exact only for components whose eval reads nothing another component
 /// writes at its commit: each one's inputs must have been sampled before
-/// the call, as the circuit mesh wires its links. Then no component can
+/// the call, as every mesh wires its links. Then no component can
 /// observe whether a neighbour has already committed, and one dispatch
 /// gives the bits of the two-phase eval-all-then-commit-all cycle.
 pub fn par_step<C: Clocked + Send>(components: &mut [C], policy: ParPolicy) {

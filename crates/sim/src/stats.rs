@@ -4,11 +4,10 @@
 //! everything here is O(1) per sample and allocation-free on the hot path
 //! (the histogram allocates once at construction).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Streaming mean / variance / extrema via Welford's algorithm.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Running {
     n: u64,
     mean: f64,
@@ -115,7 +114,7 @@ impl fmt::Display for Running {
 
 /// Fixed-width histogram over `[0, bucket_width * buckets)` with an overflow
 /// bucket; used for latency distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bucket_width: u64,
     counts: Vec<u64>,
@@ -208,7 +207,7 @@ impl Histogram {
 /// assert_eq!(lat.max(), Some(120));
 /// assert!(lat.p50().unwrap() <= lat.p95().unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     running: Running,
     hist: Histogram,
@@ -312,7 +311,7 @@ impl fmt::Display for LatencyHistogram {
 }
 
 /// A monotonically increasing event counter with a rate helper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(pub u64);
 
 impl Counter {

@@ -7,14 +7,11 @@
 //! deadlines) are mapped to cycles through the chosen clock frequency.
 
 use crate::units::{MegaHertz, Picoseconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute cycle index since simulation start (cycle 0 = reset release).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 /// A number of cycles (a duration, as opposed to the instant [`Cycle`]).

@@ -27,7 +27,7 @@ fn main() {
         .mesh(4, 4)
         .clock(clock)
         .seed(77)
-        .build_circuit()
+        .build()
         .expect("UMTS fits a 4x4 mesh");
 
     // Show where the CCN put things (clustered processes share a node).

@@ -396,7 +396,7 @@ fn circuit_activity_is_pinned_with_and_without_clock_gating() {
                 clock_gating,
                 ..RouterParams::paper()
             })
-            .build_circuit()
+            .build()
             .expect("HiperLAN/2 fits a 4x4 circuit mesh");
         dep.run(2000);
         let drained = dep.fabric().stream_stats()[0].id;

@@ -52,7 +52,7 @@ fn umts_end_to_end_with_clustering() {
         .mesh(4, 4)
         .clock(MegaHertz(100.0))
         .seed(2)
-        .build_circuit()
+        .build()
         .expect("feasible after clustering");
     assert_guaranteed_throughput(dep, &graph, 10_000, 0.85);
 }
@@ -66,7 +66,7 @@ fn drm_end_to_end_low_rate() {
         .mesh(4, 4)
         .clock(MegaHertz(25.0))
         .seed(3)
-        .build_circuit()
+        .build()
         .expect("feasible");
     assert_guaranteed_throughput(dep, &graph, 200_000, 0.5);
 }
@@ -79,7 +79,7 @@ fn long_pipeline_across_whole_mesh() {
         .mesh(3, 3)
         .clock(MegaHertz(50.0))
         .seed(4)
-        .build_circuit()
+        .build()
         .expect("feasible");
     let max_hops = dep
         .mapping()
