@@ -22,7 +22,6 @@ use crate::topology::{Mesh, NodeId};
 use noc_core::config::ConfigWord;
 use noc_core::error::ConfigError;
 use noc_sim::time::Cycle;
-use std::collections::HashMap;
 
 /// BE network timing/framing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +60,9 @@ struct InFlight {
 pub struct BeNetwork {
     mesh: Mesh,
     config: BeConfig,
-    /// Earliest cycle each directed link is free again.
-    link_free: HashMap<(NodeId, noc_core::lane::Port), Cycle>,
+    /// Earliest cycle each directed link is free again, at its
+    /// [`Mesh::link_slot`].
+    link_free: Vec<Cycle>,
     pending: Vec<InFlight>,
     next_msg_id: u64,
     /// Messages delivered so far.
@@ -105,7 +105,7 @@ impl BeNetwork {
         BeNetwork {
             mesh,
             config,
-            link_free: HashMap::new(),
+            link_free: vec![Cycle::ZERO; mesh.link_slots()],
             pending: Vec::new(),
             next_msg_id: 0,
             delivered: 0,
@@ -143,14 +143,13 @@ impl BeNetwork {
         let mut t = now;
         let mut here = from;
         while let Some(port) = self.mesh.xy_step(here, to) {
-            let free = self
-                .link_free
-                .get(&(here, port))
-                .copied()
-                .unwrap_or(Cycle::ZERO);
-            let start = Cycle(t.0.max(free.0));
+            let slot = self
+                .mesh
+                .link_slot(here, port)
+                .expect("xy steps leave mesh nodes through neighbour ports");
+            let start = Cycle(t.0.max(self.link_free[slot].0));
             let done = start.after(ser);
-            self.link_free.insert((here, port), done);
+            self.link_free[slot] = done;
             t = done.after(self.config.hop_cycles);
             here = self.mesh.neighbour(here, port).expect("xy stays in mesh");
         }

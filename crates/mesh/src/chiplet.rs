@@ -29,7 +29,7 @@ use noc_sim::par::{ParPolicy, WorkerPool};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 
-use crate::ccn::{Ccn, EdgeRoute, Mapping, PathHop, SpillReason, SpillStream};
+use crate::ccn::{Ccn, EdgeRoute, LaneMap, Mapping, PathHop, SpillReason, SpillStream};
 use crate::deflection::DeflectionFabric;
 use crate::fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
@@ -502,14 +502,15 @@ impl ChipletFabric {
 
     /// Resolve one intra-chiplet stream segment from `src` to `dst` (local
     /// tiles) on `chip`, pushing it onto the chip's plan. Circuit and
-    /// hybrid inner planes go through the local CCN; packet and deflection
-    /// planes take everything as spill streams.
+    /// hybrid inner planes go through the local CCN, which claims the
+    /// segment's lanes in `lanes`; packet and deflection planes take
+    /// everything as spill streams.
     #[allow(clippy::too_many_arguments)]
     fn resolve_segment(
         &self,
         ccn: &Ccn,
         plan: &mut ChipPlan,
-        occupied: &mut Vec<EdgeRoute>,
+        lanes: &mut LaneMap,
         src: NodeId,
         dst: NodeId,
         demand: noc_sim::units::Bandwidth,
@@ -522,9 +523,8 @@ impl ChipletFabric {
         match self.inner_kind {
             FabricKind::Circuit | FabricKind::Hybrid => {
                 let want = StreamDemand { src, dst, demand };
-                match ccn.admit_stream(&want, occupied) {
+                match ccn.admit_stream(&want, lanes) {
                     Ok(route) => {
-                        occupied.push(route.clone());
                         plan.routes.push(route);
                         plan.route_refs.push(seg);
                         SegOutcome::Stream
@@ -789,7 +789,7 @@ impl Fabric for ChipletFabric {
         );
         let chips = self.planes.len();
         let mut plans: Vec<ChipPlan> = (0..chips).map(|_| ChipPlan::default()).collect();
-        let mut occupied: Vec<Vec<EdgeRoute>> = vec![Vec::new(); chips];
+        let mut lanes: Vec<LaneMap> = vec![ccn.lane_map(); chips];
 
         for &(proc, node) in &mapping.placement {
             plans[self.chip_of(node)]
@@ -797,7 +797,7 @@ impl Fabric for ChipletFabric {
                 .push((proc, self.local_node(node)));
         }
 
-        // Pre-pass: seed each chiplet's occupancy with every same-chiplet
+        // Pre-pass: occupy, on each chiplet's lane map, every same-chiplet
         // route that will be provisioned verbatim, so segment admission
         // cannot collide with them regardless of stream order.
         for ms in &streams {
@@ -806,7 +806,7 @@ impl Fabric for ChipletFabric {
             }
             let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
             if self.chip_of(ms.src) == self.chip_of(ms.dst) {
-                occupied[self.chip_of(ms.src)].push(self.route_in_chip(route));
+                lanes[self.chip_of(ms.src)].occupy(&self.route_in_chip(route));
             }
         }
 
@@ -853,16 +853,17 @@ impl Fabric for ChipletFabric {
                 let local_dst = self.local_node(ms.dst);
                 let exit = self.exit_node(local_src, first_port);
                 let entry = self.entry_node(local_dst, last_port);
-                // Resolve both segments tentatively so a failed destination
-                // segment does not leave a half-committed source segment.
+                // Resolve both segments tentatively, on copies of the two
+                // chiplets' lane maps, so a failed destination segment does
+                // not leave a half-committed source segment.
                 let mut src_plan = ChipPlan::default();
                 let mut dst_plan = ChipPlan::default();
-                let mut src_occ = occupied[src_chip].clone();
-                let mut dst_occ = occupied[dst_chip].clone();
+                let mut src_lanes = lanes[src_chip].clone();
+                let mut dst_lanes = lanes[dst_chip].clone();
                 let src_out = self.resolve_segment(
                     &ccn,
                     &mut src_plan,
-                    &mut src_occ,
+                    &mut src_lanes,
                     local_src,
                     exit,
                     ms.demand,
@@ -872,7 +873,7 @@ impl Fabric for ChipletFabric {
                 let dst_out = self.resolve_segment(
                     &ccn,
                     &mut dst_plan,
-                    &mut dst_occ,
+                    &mut dst_lanes,
                     entry,
                     local_dst,
                     ms.demand,
@@ -884,8 +885,8 @@ impl Fabric for ChipletFabric {
                 {
                     continue;
                 }
-                occupied[src_chip] = src_occ;
-                occupied[dst_chip] = dst_occ;
+                lanes[src_chip] = src_lanes;
+                lanes[dst_chip] = dst_lanes;
                 let src_seg = match src_out {
                     SegOutcome::Stream => {
                         let plan = &mut plans[src_chip];
@@ -1070,6 +1071,7 @@ impl Fabric for ChipletFabric {
     }
 
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
         let src_chip = self.chip_of(demand.src);
         let dst_chip = self.chip_of(demand.dst);
         if src_chip == dst_chip {
@@ -1152,6 +1154,9 @@ impl Fabric for ChipletFabric {
     }
 
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
+        if demand.check().is_err() {
+            return false;
+        }
         let src_chip = self.chip_of(demand.src);
         let dst_chip = self.chip_of(demand.dst);
         if src_chip == dst_chip {
@@ -1382,7 +1387,7 @@ mod tests {
 
     fn mapping_for(mesh: Mesh, streams: &[(NodeId, NodeId)]) -> Mapping {
         let ccn = Ccn::new(mesh, RouterParams::paper(), MegaHertz(100.0));
-        let mut occupied: Vec<EdgeRoute> = Vec::new();
+        let mut lanes = ccn.lane_map();
         let mut routes = Vec::new();
         let lane_capacity = ccn.lane_capacity();
         for &(src, dst) in streams {
@@ -1392,9 +1397,8 @@ mod tests {
                 demand: Bandwidth(60.0),
             };
             let route = ccn
-                .admit_stream(&demand, &occupied)
+                .admit_stream(&demand, &mut lanes)
                 .expect("test stream admits");
-            occupied.push(route.clone());
             routes.push(route);
         }
         Mapping {

@@ -294,6 +294,7 @@ impl Fabric for DeflectionFabric {
     /// Deflection admits anything the coordinate space can address: a
     /// destination registration, no lanes, no reconfiguration charge.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
         if !self.provisioned {
             return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
         }

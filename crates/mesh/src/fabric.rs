@@ -501,7 +501,10 @@ pub trait Fabric: Send {
     /// stream's latency — and return the new session handle. Packet-plane
     /// backends admit by registering a wormhole destination (no
     /// reconfiguration charge); the hybrid tries circuit admission first
-    /// and spills to its gated packet plane otherwise.
+    /// and spills to its gated packet plane otherwise. Every backend
+    /// refuses a NaN, infinite or negative demand with
+    /// [`AdmitError::InvalidDemand`] before touching any state; a zero
+    /// demand is legal.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError>;
 
     /// Drain the control-plane hand-over log: `(retired, replacement)`
@@ -526,7 +529,8 @@ pub trait Fabric: Send {
     /// spilled stream only when a circuit is actually free, instead of
     /// churning sessions on hopeless attempts. `false` for backends with
     /// no circuit plane (the pure packet fabric admits, but never onto
-    /// circuits) and for unprovisioned fabrics.
+    /// circuits), for unprovisioned fabrics and for demands `admit`
+    /// refuses as malformed.
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
         let _ = demand;
         false
@@ -916,6 +920,7 @@ impl Fabric for PacketFabric {
     /// destination registration, no lanes to allocate, no
     /// reconfiguration charge.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
         if !self.provisioned {
             return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
         }

@@ -513,8 +513,10 @@ impl Fabric for HybridFabric {
     /// charged to the stream ([`Fabric::admit`] on [`Soc`]). A demand the
     /// circuit lanes still cannot take spills onto the gated packet
     /// plane instead (the stream reports [`StreamPlane::Spilled`]), so
-    /// `admit` only errors when the ask is malformed for both planes.
+    /// `admit` only errors on a malformed ask
+    /// ([`AdmitError::InvalidDemand`]) or one neither plane can serve.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
         let (slot, paths) = match self.circuit.admit(demand) {
             Ok(local) => {
                 // The lanes actually held, straight from the circuit

@@ -152,21 +152,28 @@ impl StreamPlan {
         self.sessions.open(id, src, dst, circuit)
     }
 
-    /// Re-run CCN lane allocation for `demand` against the lanes every
-    /// circuit still holds (draining ones included), claiming nothing.
+    /// Re-run CCN lane allocation for `demand` on a lane map rebuilt from
+    /// the lanes every circuit still holds (draining ones included). The
+    /// map is a scratch copy: nothing is claimed until the caller
+    /// registers the route.
+    ///
+    /// The map is rebuilt per call rather than kept live across admit
+    /// and teardown: clearing a torn-down circuit's bits matches a
+    /// rebuild only while no two live circuits hold the same lane, which
+    /// chiplet planes provisioned with stranded routes break, and the
+    /// rebuild is a pass over the live routes' hops.
     fn route_for(
         &self,
         mesh: Mesh,
         params: RouterParams,
         demand: &StreamDemand,
     ) -> Result<EdgeRoute, AdmitError> {
-        let occupied: Vec<EdgeRoute> = self
-            .sessions
-            .iter()
-            .filter(|s| s.active())
-            .map(|s| s.x.route.clone())
-            .collect();
-        Ccn::with_lane_capacity(mesh, params, self.lane_capacity).admit_stream(demand, &occupied)
+        let ccn = Ccn::with_lane_capacity(mesh, params, self.lane_capacity);
+        let mut lanes = ccn.lane_map();
+        for s in self.sessions.iter().filter(|s| s.active()) {
+            lanes.occupy(&s.x.route);
+        }
+        ccn.admit_stream(demand, &mut lanes)
     }
 }
 
@@ -726,6 +733,7 @@ impl Fabric for Soc {
     /// the new stream: words injected before the configuration lands
     /// queue up and pay the wait in their measured latency.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
         let Some(plan) = &self.plan else {
             return Err(AdmitError::Unsupported(
                 "admit needs a provisioned fabric (lane capacity comes from the mapping)",

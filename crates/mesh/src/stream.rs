@@ -232,6 +232,27 @@ pub struct StreamDemand {
     pub demand: Bandwidth,
 }
 
+impl StreamDemand {
+    /// Refuse an ask no lane count can serve: a NaN, infinite or
+    /// negative bandwidth ([`AdmitError::InvalidDemand`]). Zero is a
+    /// legal ask and takes one lane. The one demand check behind
+    /// [`crate::ccn::Ccn::admit_stream`] and every backend's
+    /// [`crate::fabric::Fabric::admit`].
+    pub(crate) fn check(&self) -> Result<(), AdmitError> {
+        if is_valid_bandwidth(self.demand) {
+            Ok(())
+        } else {
+            Err(AdmitError::InvalidDemand(self.demand))
+        }
+    }
+}
+
+/// `true` for the bandwidths the CCN can turn into a lane count: finite
+/// and not negative.
+pub(crate) fn is_valid_bandwidth(bw: Bandwidth) -> bool {
+    bw.value().is_finite() && bw.value() >= 0.0
+}
+
 impl From<&crate::ccn::SpillStream> for StreamDemand {
     fn from(s: &crate::ccn::SpillStream) -> StreamDemand {
         StreamDemand {
@@ -269,6 +290,15 @@ pub enum AdmitError {
         /// The saturated tile.
         node: NodeId,
     },
+    /// The requested bandwidth is NaN, infinite or negative.
+    InvalidDemand(Bandwidth),
+    /// The router has more lanes per port than the CCN's lane map tracks.
+    TooManyLanes {
+        /// Lanes per port of the router.
+        lanes_per_port: usize,
+        /// Most lanes per port the lane map tracks.
+        max: usize,
+    },
     /// The handle names no live stream of this fabric.
     UnknownStream(StreamId),
     /// The stream is already draining ([`ReleaseMode::Drain`]); a drain
@@ -288,6 +318,16 @@ impl fmt::Display for AdmitError {
             AdmitError::TileLanesExhausted { node } => {
                 write!(f, "tile {node:?} has no free interface lanes")
             }
+            AdmitError::InvalidDemand(bw) => {
+                write!(f, "demand {bw} is not a finite, non-negative bandwidth")
+            }
+            AdmitError::TooManyLanes {
+                lanes_per_port,
+                max,
+            } => write!(
+                f,
+                "{lanes_per_port} lanes per port, the lane map tracks at most {max}"
+            ),
             AdmitError::UnknownStream(id) => write!(f, "{id} is not a live stream"),
             AdmitError::Draining(id) => write!(f, "{id} is already draining"),
             AdmitError::Unsupported(why) => write!(f, "unsupported: {why}"),
@@ -315,5 +355,32 @@ mod tests {
         assert!(AdmitError::Draining(StreamId(2))
             .to_string()
             .contains("draining"));
+        assert!(AdmitError::InvalidDemand(Bandwidth(f64::NAN))
+            .to_string()
+            .contains("NaN"));
+        assert!(AdmitError::TooManyLanes {
+            lanes_per_port: 65,
+            max: 64
+        }
+        .to_string()
+        .contains("65 lanes"));
+    }
+
+    #[test]
+    fn demand_check_refuses_what_no_lane_count_serves() {
+        let ask = |bw| StreamDemand {
+            src: NodeId(0),
+            dst: NodeId(1),
+            demand: Bandwidth(bw),
+        };
+        for bad in [f64::NAN, -5.0, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                ask(bad).check(),
+                Err(AdmitError::InvalidDemand(_))
+            ));
+        }
+        for good in [0.0, 1e-9, 80.0, f64::MAX] {
+            assert_eq!(ask(good).check(), Ok(()));
+        }
     }
 }

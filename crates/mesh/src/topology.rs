@@ -70,6 +70,21 @@ impl Mesh {
         (0..self.nodes()).map(NodeId)
     }
 
+    /// Dense slot of the directed link leaving `node` through `port`:
+    /// `node * 4 + port − 1`, so a node's four neighbour ports sit side by
+    /// side in `0 .. link_slots()`. `None` for `Port::Tile` and for nodes
+    /// outside the mesh; a port facing the mesh edge keeps its slot but
+    /// has no link behind it. The CCN's lane map and the BE network's
+    /// link reservations both index by it.
+    pub(crate) fn link_slot(&self, node: NodeId, port: Port) -> Option<usize> {
+        (node.0 < self.nodes() && port != Port::Tile).then(|| node.0 * 4 + port.index() - 1)
+    }
+
+    /// Number of [`Mesh::link_slot`] slots: four per node.
+    pub(crate) fn link_slots(&self) -> usize {
+        self.nodes() * 4
+    }
+
     /// All directed links as `(from, port, to)` triples.
     pub fn links(&self) -> Vec<(NodeId, Port, NodeId)> {
         let mut out = Vec::new();
@@ -163,6 +178,22 @@ mod tests {
         // A w x h mesh has 2*(w*(h-1) + h*(w-1)) directed links.
         let m = Mesh::new(4, 4);
         assert_eq!(m.links().len(), 2 * (4 * 3 + 4 * 3));
+    }
+
+    #[test]
+    fn link_slots_are_dense_and_distinct() {
+        let m = Mesh::new(3, 2);
+        let mut seen = vec![false; m.link_slots()];
+        for n in m.iter() {
+            for p in Port::NEIGHBOURS {
+                let slot = m.link_slot(n, p).expect("neighbour ports have slots");
+                assert!(!seen[slot], "slot {slot} handed out twice");
+                seen[slot] = true;
+            }
+            assert_eq!(m.link_slot(n, Port::Tile), None);
+        }
+        assert!(seen.iter().all(|&s| s), "every slot is some (node, port)");
+        assert_eq!(m.link_slot(NodeId(m.nodes()), Port::East), None);
     }
 
     #[test]

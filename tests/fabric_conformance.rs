@@ -43,7 +43,11 @@
 //!     releasing a drain in progress fails with `AdmitError::Draining(id)`;
 //!     `stream_is_active` reads `None` for a never-issued handle,
 //!     `Some(true)` while draining and `Some(false)` after the teardown;
-//!     and `drain_stream` still collects on a closed handle.
+//!     and `drain_stream` still collects on a closed handle;
+//! 11. **Malformed demands** — `admit` refuses a NaN, infinite or
+//!     negative bandwidth with `AdmitError::InvalidDemand` and issues no
+//!     handle for it, `can_admit_circuit` reads `false` for it, and a
+//!     zero demand is admitted.
 //!
 //! The suite is instantiated for all four backends — the circuit-switched
 //! `Soc`, the `PacketFabric` baseline, the `HybridFabric`, and the
@@ -507,6 +511,39 @@ fn conformance_under<F: Fabric>(mk: impl Fn() -> F, policy: ParPolicy) -> Lifecy
         "{}: releasing twice is unknown",
         errs.kind()
     );
+
+    // 11. Malformed demands: every backend refuses a NaN, infinite or
+    // negative bandwidth with `InvalidDemand`, issues no handle for it
+    // and never reports a circuit for it; a zero demand is a legal ask.
+    for bad in [f64::NAN, -5.0, f64::INFINITY] {
+        let ask = StreamDemand {
+            demand: Bandwidth(bad),
+            ..demand
+        };
+        assert!(
+            !errs.can_admit_circuit(&ask),
+            "{}: a {bad} demand fits no circuit",
+            errs.kind()
+        );
+        assert!(
+            matches!(errs.admit(&ask), Err(AdmitError::InvalidDemand(_))),
+            "{}: a {bad} demand must be refused",
+            errs.kind()
+        );
+    }
+    let zero = errs
+        .admit(&StreamDemand {
+            demand: Bandwidth(0.0),
+            ..demand
+        })
+        .expect("a zero demand admits");
+    assert_eq!(
+        zero,
+        StreamId(again.0 + 1),
+        "{}: refused demands issue no handle",
+        errs.kind()
+    );
+    assert_eq!(errs.stream_is_active(zero), Some(true));
 
     LifecycleFingerprint {
         drain_delivered,
