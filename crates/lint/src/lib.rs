@@ -217,7 +217,7 @@ fn check_manifests(root: &Path, out: &mut Vec<Finding>) {
 /// Recursively collect `.rs` files under `dir` as workspace-relative,
 /// `/`-separated paths. Hidden directories, `target/`, and `vendor/` are
 /// pruned here so the walk stays cheap; classification handles the rest.
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+pub(crate) fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };

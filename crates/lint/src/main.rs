@@ -104,7 +104,8 @@ RULES:
     thread-discipline  no thread::spawn/Mutex/Condvar outside noc_sim::par
     unsafe-discipline  every unsafe site carries a SAFETY: comment
     unwrap-justify     unwrap()/computed expect() need a justification
-    registry-drift     FabricKind registry surfaces must stay in sync
+    registry-drift     FabricKind registry surfaces must stay in sync; builder
+                       knobs need a library or tool caller
     pragma             allow() pragmas must carry reasons and hit something
 
 Suppress a finding with: // noc-lint: allow(<rule>, <reason>)

@@ -21,12 +21,25 @@
 //! `build_controlled` paths must both consult the chiplet grid, and the
 //! conformance suite and every sweep bin must instantiate `ChipletFabric`.
 //!
+//! The deployment builder's knobs are the sixth surface, with the opposite
+//! failure mode: a knob that nothing sets. Every `pub fn` of
+//! `impl DeploymentBuilder` other than `build` and `build_controlled` must
+//! be called as `.name(` from a library or tool file other than the
+//! builder's own. Calls from tests, examples and `#[cfg(test)]` modules do
+//! not count — a knob only tests set is surface no workload runs. The
+//! match is by token, not by type: a knob that shares its name with any
+//! other method (`.mesh(`, `.clock(`, `.seed(`) always passes, so the check
+//! catches only knobs with names of their own.
+//!
 //! The checker parses the enum with the same lexer as every other rule, so
 //! it keeps working as the registry grows; the paths are configurable so
 //! the fixture suite can point it at deliberately drifted mini-trees.
 
 use crate::lexer::{lex, Tok, Token};
 use crate::report::Finding;
+use crate::source::SourceFile;
+use crate::{classify, collect_rs_files, FileClass};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Where the registry's four surfaces live, relative to the workspace root.
@@ -194,6 +207,58 @@ pub fn check_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) 
     }
 
     check_chiplet_registry(root, spec, out);
+    check_builder_knobs(root, spec, out);
+}
+
+/// Builder knobs nothing sets: each `pub fn` of `impl DeploymentBuilder`
+/// except the two build paths must be called as `.name(` outside test code
+/// in some Lib- or Tool-class file other than the builder's own. (A missing
+/// builder file is reported by the chiplet check.)
+fn check_builder_knobs(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) {
+    let Ok(deploy_src) = std::fs::read_to_string(root.join(&spec.deployment_rs)) else {
+        return;
+    };
+    let knobs: Vec<(String, u32)> = impl_pub_fns(&lex(&deploy_src).tokens, "DeploymentBuilder")
+        .into_iter()
+        .filter(|(name, _)| name != "build" && name != "build_controlled")
+        .collect();
+    if knobs.is_empty() {
+        return;
+    }
+    let deploy_rel = spec.deployment_rs.to_string_lossy().replace('\\', "/");
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files);
+    let mut called = BTreeSet::new();
+    for rel in &files {
+        if *rel == deploy_rel || !matches!(classify(rel), FileClass::Lib | FileClass::Tool) {
+            continue;
+        }
+        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
+            continue;
+        };
+        let file = SourceFile::parse(rel, &src);
+        for w in file.tokens().windows(3) {
+            if let (true, Tok::Ident(name), true) =
+                (w[0].tok.is_punct("."), &w[1].tok, w[2].tok.is_punct("("))
+            {
+                if !file.in_test_region(w[1].line) {
+                    called.insert(name.clone());
+                }
+            }
+        }
+    }
+    for (name, line) in knobs {
+        if !called.contains(&name) {
+            out.push(drift(
+                deploy_rel.clone(),
+                line,
+                format!(
+                    "builder knob `{name}` is set by no library or tool file — \
+                     call it as `.{name}(` there, or delete it"
+                ),
+            ));
+        }
+    }
 }
 
 /// The chiplet topology registry: builder arm ↔ conformance instantiation
@@ -412,6 +477,57 @@ fn const_all(toks: &[Token]) -> Option<AllConst> {
     }
 }
 
+/// Names and lines of the `pub fn`s declared directly in every inherent
+/// `impl … <name> … { … }` block (not `impl Trait for <name>`).
+fn impl_pub_fns(toks: &[Token], name: &str) -> Vec<(String, u32)> {
+    let mut fns = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].tok.is_ident("impl") {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        while j < toks.len() && !toks[j].tok.is_punct("{") && !toks[j].tok.is_punct(";") {
+            j += 1;
+        }
+        if j == toks.len() || toks[j].tok.is_punct(";") {
+            // `impl Trait` in a type position, not an impl block.
+            i = j + 1;
+            continue;
+        }
+        let header = &toks[i + 1..j];
+        let inherent = header.iter().any(|t| t.tok.is_ident(name))
+            && !header.iter().any(|t| t.tok.is_ident("for"));
+        let mut depth = 0i32;
+        while j < toks.len() {
+            if toks[j].tok.is_punct("{") {
+                depth += 1;
+            } else if toks[j].tok.is_punct("}") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if inherent
+                && depth == 1
+                && toks[j].tok.is_ident("pub")
+                && toks.get(j + 1).is_some_and(|t| t.tok.is_ident("fn"))
+            {
+                if let Some(Token {
+                    tok: Tok::Ident(f),
+                    line,
+                }) = toks.get(j + 2)
+                {
+                    fns.push((f.clone(), *line));
+                }
+            }
+            j += 1;
+        }
+        i = j + 1;
+    }
+    fns
+}
+
 /// Token slice of the body of `fn <name>(…) … { … }`.
 fn fn_body<'t>(toks: &'t [Token], name: &str) -> Option<&'t [Token]> {
     let mut i = 0usize;
@@ -487,6 +603,34 @@ impl FabricKind {
             all.entries,
             vec!["Circuit", "Hybrid", "Packet"],
             "path-qualified entries keep only the variant ident"
+        );
+    }
+
+    #[test]
+    fn impl_pub_fns_lists_inherent_methods_only() {
+        let src = "\
+impl<'g> DeploymentBuilder<'g> {
+    pub fn seed(mut self, seed: u64) -> Self { self.seed = seed; self }
+    fn map(&self) -> Mapping { todo!() }
+    pub(crate) fn hidden(&self) {}
+    pub fn build(self) -> R { let f = || { 1 }; f() }
+}
+impl Default for DeploymentBuilder<'_> {
+    pub fn default() -> Self { todo!() }
+}
+type Knobs = Box<dyn Fn() -> impl Sized>;
+impl<'g> DeploymentBuilder<'g> {
+    pub fn clock(mut self, clock: MegaHertz) -> Self { self }
+}
+";
+        let toks = lex(src).tokens;
+        assert_eq!(
+            impl_pub_fns(&toks, "DeploymentBuilder"),
+            vec![
+                ("seed".to_string(), 2),
+                ("build".to_string(), 5),
+                ("clock".to_string(), 12)
+            ]
         );
     }
 

@@ -1,5 +1,11 @@
-// Mini deployment builder: the chiplet grid is consulted on both paths.
+// Mini deployment builder: the chiplet grid is consulted on both paths,
+// and every knob has a library caller (crates/exp/src/fleet.rs).
 impl DeploymentBuilder {
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
     pub fn chiplets(mut self, cw: usize, ch: usize) -> Self {
         self.chiplets = Some((cw, ch));
         self

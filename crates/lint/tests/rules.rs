@@ -172,6 +172,16 @@ fn registry_drift_fails_on_every_surface() {
         2,
         "both sweep bins must be flagged: {msgs:?}"
     );
+    // Builder knobs: `packet_words` is set only from a test file and a
+    // `#[cfg(test)]` module, so it is flagged; `chiplets` has a library
+    // caller and the two build paths are exempt.
+    let knobs: Vec<&str> = msgs
+        .iter()
+        .copied()
+        .filter(|m| m.starts_with("builder knob"))
+        .collect();
+    assert_eq!(knobs.len(), 1, "{knobs:?}");
+    assert!(knobs[0].contains("`packet_words`"), "{knobs:?}");
 }
 
 /// The real tree must lint clean — this is the same gate CI runs, kept as

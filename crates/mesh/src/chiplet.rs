@@ -21,7 +21,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use noc_core::lane::Port;
 use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_power::area::noi_entry_router_area;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
@@ -32,7 +31,8 @@ use noc_sim::units::SquareMicroMeters;
 use crate::ccn::{Ccn, EdgeRoute, LaneMap, Mapping, PathHop, SpillReason, SpillStream};
 use crate::deflection::DeflectionFabric;
 use crate::fabric::{
-    EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
+    merge_by_kind, EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError,
+    SnapshotError,
 };
 use crate::hybrid::HybridFabric;
 use crate::session::{on_handle, Handles, SessionTable};
@@ -46,18 +46,15 @@ use crate::topology::{Mesh, NodeId};
 /// `&dyn Fabric` can recognise and downcast a chiplet snapshot.
 pub const CHIPLET_BACKEND: &str = "chiplet-mesh";
 
-/// Knobs of the chiplet hierarchy: the per-chiplet backend parameters plus
-/// the NoI entry-router sizing.
+/// Knobs of the chiplet hierarchy: the circuit router of circuit and
+/// hybrid inner planes plus the NoI entry-router sizing. Packet,
+/// deflection and hybrid spill planes always run the paper's routers
+/// ([`PacketFabric::DEFAULT_PACKET_WORDS`]-word wormholes on packet
+/// planes).
 #[derive(Debug, Clone)]
 pub struct ChipletConfig {
     /// Circuit-switched router parameters for circuit/hybrid inner planes.
     pub router_params: RouterParams,
-    /// Packet-switched parameters for packet/hybrid inner planes.
-    pub packet_params: PacketParams,
-    /// Deflection parameters for deflection inner planes.
-    pub deflection_params: DeflectionParams,
-    /// Words per packet on packet-coordinate planes.
-    pub packet_words: usize,
     /// Entry lanes per directed NoI link — the contended boundary resource.
     pub entry_lanes: usize,
 }
@@ -67,9 +64,6 @@ impl ChipletConfig {
     pub fn paper() -> Self {
         ChipletConfig {
             router_params: RouterParams::paper(),
-            packet_params: PacketParams::paper(),
-            deflection_params: DeflectionParams::paper(),
-            packet_words: PacketFabric::DEFAULT_PACKET_WORDS,
             entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
         }
     }
@@ -96,19 +90,12 @@ impl InnerPlane {
     fn build(kind: FabricKind, mesh: Mesh, config: &ChipletConfig) -> InnerPlane {
         match kind {
             FabricKind::Circuit => InnerPlane::Circuit(Soc::new(mesh, config.router_params)),
-            FabricKind::Hybrid => InnerPlane::Hybrid(HybridFabric::new(
-                mesh,
-                config.router_params,
-                config.packet_params,
-                config.packet_words,
-            )),
-            FabricKind::Deflection => {
-                InnerPlane::Deflection(DeflectionFabric::new(mesh, config.deflection_params))
-            }
+            FabricKind::Hybrid => InnerPlane::Hybrid(HybridFabric::new(mesh, config.router_params)),
+            FabricKind::Deflection => InnerPlane::Deflection(DeflectionFabric::paper(mesh)),
             FabricKind::Packet => InnerPlane::Packet(PacketFabric::new(
                 mesh,
-                config.packet_params,
-                config.packet_words,
+                PacketParams::paper(),
+                PacketFabric::DEFAULT_PACKET_WORDS,
             )),
         }
     }
@@ -514,7 +501,6 @@ impl ChipletFabric {
         src: NodeId,
         dst: NodeId,
         demand: noc_sim::units::Bandwidth,
-        lane_capacity: noc_sim::units::Bandwidth,
         seg: SegRef,
     ) -> SegOutcome {
         if src == dst {
@@ -544,7 +530,6 @@ impl ChipletFabric {
                 }
             }
             FabricKind::Deflection | FabricKind::Packet => {
-                let _ = (ccn, lane_capacity);
                 plan.spilled.push(SpillStream {
                     edges: Vec::new(),
                     src,
@@ -797,21 +782,25 @@ impl Fabric for ChipletFabric {
                 .push((proc, self.local_node(node)));
         }
 
-        // Pre-pass: occupy, on each chiplet's lane map, every same-chiplet
-        // route that will be provisioned verbatim, so segment admission
-        // cannot collide with them regardless of stream order.
-        for ms in &streams {
-            if ms.spilled {
-                continue;
-            }
-            let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
-            if self.chip_of(ms.src) == self.chip_of(ms.dst) {
-                lanes[self.chip_of(ms.src)].occupy(&self.route_in_chip(route));
-            }
-        }
+        // Pre-pass: translate every same-chiplet route, which is
+        // provisioned verbatim, onto its chiplet once, and occupy it on that
+        // chiplet's lane map, so segment admission cannot collide with them
+        // regardless of stream order.
+        let intra_routes: Vec<Option<EdgeRoute>> = streams
+            .iter()
+            .map(|ms| {
+                if ms.spilled || self.chip_of(ms.src) != self.chip_of(ms.dst) {
+                    return None;
+                }
+                let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
+                let local = self.route_in_chip(route);
+                lanes[self.chip_of(ms.src)].occupy(&local);
+                Some(local)
+            })
+            .collect();
 
         let mut served = Vec::new();
-        for ms in streams {
+        for (ms, intra_route) in streams.into_iter().zip(intra_routes) {
             let src_chip = self.chip_of(ms.src);
             let dst_chip = self.chip_of(ms.dst);
             let gid = ms.id.0;
@@ -835,8 +824,8 @@ impl Fabric for ChipletFabric {
                     });
                     plan.spill_refs.push(SegRef::Intra(gid));
                 } else {
-                    let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
-                    plan.routes.push(self.route_in_chip(route));
+                    plan.routes
+                        .push(intra_route.expect("the pre-pass translated this route"));
                     plan.route_refs.push(SegRef::Intra(gid));
                 }
                 let slot = ChipletSlot::Intra {
@@ -867,7 +856,6 @@ impl Fabric for ChipletFabric {
                     local_src,
                     exit,
                     ms.demand,
-                    mapping.lane_capacity,
                     SegRef::Src(gid),
                 );
                 let dst_out = self.resolve_segment(
@@ -877,7 +865,6 @@ impl Fabric for ChipletFabric {
                     entry,
                     local_dst,
                     ms.demand,
-                    mapping.lane_capacity,
                     SegRef::Dst(gid),
                 );
                 if matches!(src_out, SegOutcome::Unserved)
@@ -1292,34 +1279,22 @@ impl Fabric for ChipletFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        let mut absorb = |kind: ComponentKind, ledger: &ActivityLedger| {
-            if let Some(existing) = merged.iter_mut().find(|c| c.kind == kind) {
-                existing.ledger.merge(ledger);
-            } else {
-                merged.push(ComponentActivity {
-                    kind,
-                    ledger: *ledger,
-                });
-            }
-        };
-        for plane in &self.planes {
-            for component in plane.as_fabric().activity() {
-                absorb(component.kind, &component.ledger);
-            }
-        }
         // NoI ledgers join only when they carry events, so a quiet 1×1 grid
         // stays bit-identical to the flat fabric's activity.
-        if !self.noi_link_activity.is_empty() {
-            absorb(ComponentKind::Link, &self.noi_link_activity);
-        }
-        if !self.noi_buffer_activity.is_empty() {
-            absorb(ComponentKind::Buffering, &self.noi_buffer_activity);
-        }
-        if !self.noi_arbiter_activity.is_empty() {
-            absorb(ComponentKind::Arbitration, &self.noi_arbiter_activity);
-        }
-        merged
+        let noi = [
+            (ComponentKind::Link, self.noi_link_activity),
+            (ComponentKind::Buffering, self.noi_buffer_activity),
+            (ComponentKind::Arbitration, self.noi_arbiter_activity),
+        ]
+        .into_iter()
+        .filter(|(_, ledger)| !ledger.is_empty())
+        .map(|(kind, ledger)| ComponentActivity::new(kind, ledger));
+        merge_by_kind(
+            self.planes
+                .iter()
+                .flat_map(|plane| plane.as_fabric().activity())
+                .chain(noi),
+        )
     }
 
     fn clear_activity(&mut self) {

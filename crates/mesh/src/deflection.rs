@@ -37,7 +37,8 @@
 
 use crate::ccn::Mapping;
 use crate::fabric::{
-    pport, EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
+    merge_by_kind, pport, EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError,
+    SnapshotError,
 };
 use crate::session::SessionTable;
 use crate::stream::{AdmitError, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats};
@@ -393,16 +394,7 @@ impl Fabric for DeflectionFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in 0..self.routers.len() {
-            for comp in self.routers.activity(r) {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
     }
 
     fn clear_activity(&mut self) {

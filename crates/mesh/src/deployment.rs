@@ -37,6 +37,13 @@
 //! statistics. Either way the scenario plumbing — CCN mapping, per-route
 //! offered-load word streams, delivery accounting, energy readout — is
 //! written once, here.
+//!
+//! Only the circuit router is configurable
+//! ([`DeploymentBuilder::router_params`]). Packet, deflection and spill
+//! planes run the paper's routers, offered load is the seeded
+//! [`DataPattern::Random`] stream, and the CCN places onto the default
+//! tile inventory: no caller set anything else, so the builder carries
+//! no knob for it.
 
 use crate::ccn::{Ccn, Mapping, MappingError};
 use crate::chiplet::{ChipletConfig, ChipletFabric};
@@ -48,12 +55,11 @@ use crate::fabric::{
 use crate::hybrid::HybridFabric;
 use crate::soc::Soc;
 use crate::stream::{ProvisionMode, StreamId};
-use crate::tile::{default_tile_kinds, TileKind};
+use crate::tile::default_tile_kinds;
 use crate::topology::{Mesh, NodeId};
 use noc_apps::taskgraph::TaskGraph;
 use noc_apps::traffic::{DataPattern, WordStream};
 use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_power::estimator::PowerReport;
 use noc_sim::par::ParPolicy;
@@ -99,16 +105,10 @@ pub struct DeploymentBuilder<'g> {
     graph: &'g TaskGraph,
     mesh: Mesh,
     router_params: RouterParams,
-    packet_params: PacketParams,
-    deflection_params: DeflectionParams,
     clock: MegaHertz,
     seed: u64,
     kind: FabricKind,
-    packet_words: usize,
-    pattern: DataPattern,
-    tile_kinds: Option<Vec<TileKind>>,
     spill: bool,
-    deflection_spill: bool,
     chiplets: Option<(usize, usize)>,
     parallelism: ParPolicy,
     provisioning: ProvisionMode,
@@ -122,16 +122,10 @@ impl<'g> DeploymentBuilder<'g> {
             graph,
             mesh: Mesh::new(4, 4),
             router_params: RouterParams::paper(),
-            packet_params: PacketParams::paper(),
-            deflection_params: DeflectionParams::paper(),
             clock: MegaHertz(100.0),
             seed: 0,
             kind: FabricKind::Circuit,
-            packet_words: PacketFabric::DEFAULT_PACKET_WORDS,
-            pattern: DataPattern::Random,
-            tile_kinds: None,
             spill: false,
-            deflection_spill: false,
             chiplets: None,
             parallelism: ParPolicy::Auto,
             provisioning: ProvisionMode::Instant,
@@ -158,19 +152,6 @@ impl<'g> DeploymentBuilder<'g> {
         self
     }
 
-    /// Packet-router parameters (default [`PacketParams::paper`]).
-    pub fn packet_params(mut self, params: PacketParams) -> Self {
-        self.packet_params = params;
-        self
-    }
-
-    /// Deflection-router parameters (default [`DeflectionParams::paper`]:
-    /// ungated, pure bufferless).
-    pub fn deflection_params(mut self, params: DeflectionParams) -> Self {
-        self.deflection_params = params;
-        self
-    }
-
     /// SoC clock (default 100 MHz).
     pub fn clock(mut self, clock: MegaHertz) -> Self {
         self.clock = clock;
@@ -190,26 +171,6 @@ impl<'g> DeploymentBuilder<'g> {
         self
     }
 
-    /// Payload words per wormhole packet on the packet backend and on the
-    /// hybrid's packet spill plane. Zero is a
-    /// [`ProvisionError::EmptyPackets`] at build time.
-    pub fn packet_words(mut self, words: usize) -> Self {
-        self.packet_words = words;
-        self
-    }
-
-    /// Payload data pattern (default random; drives bit-flip energy).
-    pub fn pattern(mut self, pattern: DataPattern) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
-    /// Override the tile inventory (default: the Fig. 1 palette rotation).
-    pub fn tile_kinds(mut self, kinds: Vec<TileKind>) -> Self {
-        self.tile_kinds = kinds.into();
-        self
-    }
-
     /// Spill-tolerant admission (default: strict). Under strict admission
     /// an application the CCN cannot fully put on circuit lanes is a
     /// [`DeployError::Mapping`]; with `spill` the overflow demands land in
@@ -220,16 +181,6 @@ impl<'g> DeploymentBuilder<'g> {
     /// comparison. The hybrid backend always uses spill admission.
     pub fn spill(mut self, spill: bool) -> Self {
         self.spill = spill;
-        self
-    }
-
-    /// Put the hybrid backend's spillover on a **bufferless deflection
-    /// plane** ([`HybridFabric::with_deflection_spill`]) instead of the
-    /// default buffered packet plane. Uses the builder's
-    /// [`DeploymentBuilder::deflection_params`] with clock gating forced
-    /// on. Only the hybrid backend reads this knob.
-    pub fn deflection_spill(mut self, on: bool) -> Self {
-        self.deflection_spill = on;
         self
     }
 
@@ -318,10 +269,7 @@ impl<'g> DeploymentBuilder<'g> {
     /// Map the application (shared by every backend), strictly or with
     /// spill-tolerant admission.
     fn map(&self, spill: bool) -> Result<Mapping, MappingError> {
-        let kinds = match &self.tile_kinds {
-            Some(k) => k.clone(),
-            None => default_tile_kinds(&self.mesh),
-        };
+        let kinds = default_tile_kinds(&self.mesh);
         let ccn = Ccn::new(self.mesh, self.router_params, self.clock);
         if spill {
             ccn.map_with_spill(self.graph, &kinds)
@@ -332,9 +280,9 @@ impl<'g> DeploymentBuilder<'g> {
 
     /// Refuse, as a typed error, every configuration a fabric constructor
     /// would panic on: a circuit router the packed datapath cannot carry
-    /// (flat, hybrid or chiplet plane), a packet plane with empty
-    /// wormholes, a chiplet grid that does not split the mesh, and a
-    /// packet-coordinate plane beyond the head flit's 16×16 space.
+    /// (flat, hybrid or chiplet plane), a chiplet grid that does not split
+    /// the mesh, and a packet-coordinate plane beyond the head flit's
+    /// 16×16 space.
     fn check(&self, chiplets: Option<(usize, usize)>) -> Result<(), ProvisionError> {
         let params = self.router_params;
         let circuit_plane = matches!(self.kind, FabricKind::Circuit | FabricKind::Hybrid);
@@ -343,16 +291,6 @@ impl<'g> DeploymentBuilder<'g> {
                 lanes_per_port: params.lanes_per_port,
                 lane_width: params.lane_width,
             });
-        }
-        // Flat hybrids with a deflection spill plane pack no wormholes;
-        // chiplet hybrids always spill onto packets.
-        let packet_plane = match self.kind {
-            FabricKind::Packet => true,
-            FabricKind::Hybrid => chiplets.is_some() || !self.deflection_spill,
-            FabricKind::Circuit | FabricKind::Deflection => false,
-        };
-        if packet_plane && self.packet_words == 0 {
-            return Err(ProvisionError::EmptyPackets);
         }
         let Mesh { width, height, .. } = self.mesh;
         let (cw, ch) = chiplets.unwrap_or((1, 1));
@@ -389,34 +327,19 @@ impl<'g> DeploymentBuilder<'g> {
             (Some((cw, ch)), _) => {
                 let config = ChipletConfig {
                     router_params: self.router_params,
-                    packet_params: self.packet_params,
-                    deflection_params: self.deflection_params,
-                    packet_words: self.packet_words,
                     entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
                 };
                 Box::new(ChipletFabric::new(self.mesh, cw, ch, self.kind, config))
             }
             (None, FabricKind::Circuit) => Box::new(Soc::new(self.mesh, self.router_params)),
-            (None, FabricKind::Hybrid) if self.deflection_spill => {
-                Box::new(HybridFabric::with_deflection_spill(
-                    self.mesh,
-                    self.router_params,
-                    self.deflection_params,
-                ))
+            (None, FabricKind::Hybrid) => {
+                Box::new(HybridFabric::new(self.mesh, self.router_params))
             }
-            (None, FabricKind::Hybrid) => Box::new(HybridFabric::new(
-                self.mesh,
-                self.router_params,
-                self.packet_params,
-                self.packet_words,
-            )),
-            (None, FabricKind::Deflection) => {
-                Box::new(DeflectionFabric::new(self.mesh, self.deflection_params))
-            }
+            (None, FabricKind::Deflection) => Box::new(DeflectionFabric::paper(self.mesh)),
             (None, FabricKind::Packet) => Box::new(PacketFabric::new(
                 self.mesh,
-                self.packet_params,
-                self.packet_words,
+                PacketParams::paper(),
+                PacketFabric::DEFAULT_PACKET_WORDS,
             )),
         };
         Ok((fabric, mapping))
@@ -605,7 +528,7 @@ impl<F: Fabric> Deployment<F> {
                 rate: ms.demand.value() / (b.clock.value() * 16.0),
                 scale: 1.0,
                 acc: 0.0,
-                stream: WordStream::new(b.pattern, b.seed ^ ((idx as u64) << 32)),
+                stream: WordStream::new(DataPattern::Random, b.seed ^ ((idx as u64) << 32)),
                 injected: 0,
                 delivered: 0,
                 spilled: ms.spilled,
@@ -1164,19 +1087,6 @@ mod tests {
         let refused = Some(DeployError::Provision(refused));
         assert_eq!(builder().build().err(), refused);
         assert_eq!(builder().build_controlled().err(), refused);
-    }
-
-    #[test]
-    fn empty_packets_are_a_deploy_error() {
-        for kind in [FabricKind::Packet, FabricKind::Hybrid] {
-            let empty = ProvisionError::EmptyPackets;
-            assert_refused(|b| b.fabric(kind).packet_words(0), empty.clone());
-            assert_refused(|b| b.fabric(kind).packet_words(0).chiplets(2, 2), empty);
-        }
-        // A deflection spill plane packs no wormholes.
-        let g = pipeline(2, 10.0);
-        let spill = Deployment::builder(&g).fabric(FabricKind::Hybrid);
-        assert!(spill.deflection_spill(true).packet_words(0).build().is_ok());
     }
 
     #[test]

@@ -65,9 +65,6 @@ pub enum FabricKind {
 }
 
 impl FabricKind {
-    /// Both pure kinds, circuit first (the paper's presentation order).
-    pub const BOTH: [FabricKind; 2] = [FabricKind::Circuit, FabricKind::Packet];
-
     /// All kinds, ordered from pure-circuit to pure-packet — the energy
     /// ordering the hybrid is expected to land inside, with bufferless
     /// deflection between it and the FIFO-buffered packet baseline.
@@ -122,8 +119,6 @@ pub enum ProvisionError {
         /// Requested lane width in bits (the datapath carries 4).
         lane_width: u32,
     },
-    /// Wormhole packets were asked to carry zero payload words.
-    EmptyPackets,
     /// The mesh does not split evenly into a non-empty chiplet grid.
     ChipletGrid {
         /// Mesh width.
@@ -157,9 +152,6 @@ impl fmt::Display for ProvisionError {
                 "the circuit router carries 1..=16 lanes of 4 bits per port, \
                  not {lanes_per_port} lanes of {lane_width} bits"
             ),
-            ProvisionError::EmptyPackets => {
-                f.write_str("a wormhole packet needs at least one payload word")
-            }
             ProvisionError::ChipletGrid {
                 width,
                 height,
@@ -630,6 +622,24 @@ pub trait Fabric: Send {
     }
 }
 
+/// Merge per-component activity by
+/// [`ComponentKind`](noc_sim::activity::ComponentKind): a kind seen before
+/// absorbs the ledger, a new kind is appended. Each kind stays where it
+/// first appears, because [`PowerReport`] sums per-component floats in
+/// that order.
+pub(crate) fn merge_by_kind(
+    parts: impl IntoIterator<Item = ComponentActivity>,
+) -> Vec<ComponentActivity> {
+    let mut merged: Vec<ComponentActivity> = Vec::new();
+    for comp in parts {
+        match merged.iter_mut().find(|c| c.kind == comp.kind) {
+            Some(existing) => existing.ledger.merge(&comp.ledger),
+            None => merged.push(comp),
+        }
+    }
+    merged
+}
+
 // ---------------------------------------------------------------------------
 // Packet-switched fabric: a full mesh of VC wormhole routers
 // ---------------------------------------------------------------------------
@@ -1030,16 +1040,7 @@ impl Fabric for PacketFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in 0..self.routers.len() {
-            for comp in self.routers.activity(r) {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
     }
 
     fn clear_activity(&mut self) {

@@ -18,12 +18,13 @@
 //!   [`Mapping::spilled`] instead of failing the application.
 //! * **`provision`** installs the admitted circuits into an owned
 //!   circuit-switched [`Soc`] and registers every spilled demand on an
-//!   owned [`PacketFabric`] over the same mesh, whose routers run with
-//!   [`noc_packet::params::PacketParams::gated`] — idle VC buffers,
-//!   output registers and arbiters hold their clocks, so the spillover
-//!   plane costs (almost) nothing while circuits carry the load. Every
-//!   stream of the mapping gets one [`StreamId`] session handle
-//!   (the [`Mapping::streams`] numbering), whichever plane serves it.
+//!   owned [`PacketFabric`] of the paper's packet routers over the same
+//!   mesh, run with [`noc_packet::params::PacketParams::gated`] — idle VC
+//!   buffers, output registers and arbiters hold their clocks, so the
+//!   spillover plane costs (almost) nothing while circuits carry the
+//!   load. Every stream of the mapping gets one [`StreamId`] session
+//!   handle (the [`Mapping::streams`] numbering), whichever plane serves
+//!   it.
 //! * **`inject_stream`** / **`drain_stream`** address one session;
 //!   **`stream_stats`** merges both planes' telemetry into one table,
 //!   labelling packet-plane sessions [`StreamPlane::Spilled`] — which is
@@ -43,9 +44,9 @@
 //!   can show the hybrid's energy landing between the pure endpoints.
 
 use crate::ccn::Mapping;
-use crate::deflection::DeflectionFabric;
 use crate::fabric::{
-    EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
+    merge_by_kind, EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError,
+    SnapshotError,
 };
 use crate::session::{on_handle, Handles};
 use crate::soc::Soc;
@@ -54,7 +55,6 @@ use crate::stream::{
 };
 use crate::topology::Mesh;
 use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentActivity;
 use noc_sim::par::{par_join, ParPolicy};
@@ -106,39 +106,6 @@ pub struct ServiceGap {
     pub be_best_p95: Option<u64>,
 }
 
-/// Which backend carries the hybrid's best-effort spillover.
-///
-/// The classic profiled-hybrid design gates a FIFO-buffered packet plane;
-/// swapping in the bufferless deflection mesh removes even the spill
-/// path's FIFOs — spilled traffic then pays deflection re-traversals
-/// under contention instead of buffer read/writes. Either way the
-/// circuit plane and the session table above are untouched: the spill
-/// plane is addressed purely through the [`Fabric`] trait.
-#[derive(Debug, Clone)]
-pub enum SpillPlane {
-    /// FIFO-buffered wormhole routers, clock-gated while idle (the
-    /// default, arXiv:2005.08478's design point).
-    Packet(PacketFabric),
-    /// Bufferless deflection routers, clock-gated while idle.
-    Deflection(DeflectionFabric),
-}
-
-impl SpillPlane {
-    fn as_fabric(&self) -> &dyn Fabric {
-        match self {
-            SpillPlane::Packet(p) => p,
-            SpillPlane::Deflection(d) => d,
-        }
-    }
-
-    fn as_fabric_mut(&mut self) -> &mut dyn Fabric {
-        match self {
-            SpillPlane::Packet(p) => p,
-            SpillPlane::Deflection(d) => d,
-        }
-    }
-}
-
 /// Which plane serves a hybrid session, with its plane-local handle.
 #[derive(Debug, Clone, Copy)]
 enum PlaneSlot {
@@ -159,13 +126,12 @@ struct HybridHandle {
 }
 
 /// A hybrid-switched network-on-chip: an owned circuit-switched [`Soc`]
-/// and a clock-gated best-effort [`SpillPlane`] (buffered packet routers
-/// by default, bufferless deflection routers on request) over the same
-/// mesh, provisioned together from one spill-admitted [`Mapping`].
+/// and a clock-gated best-effort [`PacketFabric`] over the same mesh,
+/// provisioned together from one spill-admitted [`Mapping`].
 #[derive(Debug, Clone)]
 pub struct HybridFabric {
     circuit: Soc,
-    spill: SpillPlane,
+    spill: PacketFabric,
     /// Global session handles, each routed to its serving plane.
     handles: Handles<HybridHandle>,
     policy: ParPolicy,
@@ -176,52 +142,21 @@ pub struct HybridFabric {
 
 impl HybridFabric {
     /// A hybrid fabric over `mesh`: circuit routers with `router_params`,
-    /// a spillover plane of `packet_params` routers (clock gating is
-    /// forced on — the whole point of the hybrid router is that its
-    /// packet plane sleeps while circuits carry the profiled flows),
-    /// packing `packet_words` payload words per spillover wormhole.
+    /// and a spillover plane of the paper's packet routers with clock
+    /// gating forced on — the whole point of the hybrid router is that its
+    /// packet plane sleeps while circuits carry the profiled flows.
     ///
     /// # Panics
-    /// Panics when the mesh exceeds the 16×16 packet coordinate space or
-    /// `packet_words` is zero (the packet plane's constraints).
-    pub fn new(
-        mesh: Mesh,
-        router_params: RouterParams,
-        packet_params: PacketParams,
-        packet_words: usize,
-    ) -> HybridFabric {
-        HybridFabric::with_spill(
-            mesh,
-            router_params,
-            SpillPlane::Packet(PacketFabric::new(mesh, packet_params.gated(), packet_words)),
-        )
-    }
-
-    /// A hybrid fabric whose spillover rides a **bufferless deflection
-    /// plane** ([`DeflectionFabric`]) instead of the buffered packet
-    /// mesh: no spill-path FIFOs at all, contention absorbed as
-    /// age-arbitrated misroutes. Clock gating is forced on, exactly as
-    /// for the packet spill plane — an idle spill plane must sleep.
-    ///
-    /// # Panics
-    /// Panics when the mesh exceeds the 16×16 deflection coordinate
-    /// space.
-    pub fn with_deflection_spill(
-        mesh: Mesh,
-        router_params: RouterParams,
-        deflection_params: DeflectionParams,
-    ) -> HybridFabric {
-        HybridFabric::with_spill(
-            mesh,
-            router_params,
-            SpillPlane::Deflection(DeflectionFabric::new(mesh, deflection_params.gated())),
-        )
-    }
-
-    fn with_spill(mesh: Mesh, router_params: RouterParams, spill: SpillPlane) -> HybridFabric {
+    /// Panics when the mesh exceeds the 16×16 packet coordinate space (the
+    /// packet plane's constraint).
+    pub fn new(mesh: Mesh, router_params: RouterParams) -> HybridFabric {
         HybridFabric {
             circuit: Soc::new(mesh, router_params),
-            spill,
+            spill: PacketFabric::new(
+                mesh,
+                PacketParams::paper().gated(),
+                PacketFabric::DEFAULT_PACKET_WORDS,
+            ),
             handles: Handles::new(),
             policy: ParPolicy::Auto,
             now: Cycle::ZERO,
@@ -232,12 +167,7 @@ impl HybridFabric {
 
     /// A hybrid fabric with the paper's router on both planes.
     pub fn paper(mesh: Mesh) -> HybridFabric {
-        HybridFabric::new(
-            mesh,
-            RouterParams::paper(),
-            PacketParams::paper(),
-            PacketFabric::DEFAULT_PACKET_WORDS,
-        )
+        HybridFabric::new(mesh, RouterParams::paper())
     }
 
     /// The circuit plane (testbench inspection).
@@ -246,28 +176,8 @@ impl HybridFabric {
     }
 
     /// The packet spillover plane (testbench inspection).
-    ///
-    /// # Panics
-    /// Panics when this hybrid spills onto a deflection plane
-    /// ([`HybridFabric::with_deflection_spill`]) — use
-    /// [`HybridFabric::deflection_plane`] there.
     pub fn packet_plane(&self) -> &PacketFabric {
-        match &self.spill {
-            SpillPlane::Packet(p) => p,
-            SpillPlane::Deflection(_) => {
-                panic!("this hybrid spills onto a deflection plane, not a packet plane")
-            }
-        }
-    }
-
-    /// The deflection spillover plane, when this hybrid was built with
-    /// [`HybridFabric::with_deflection_spill`] (`None` on the default
-    /// packet spill plane).
-    pub fn deflection_plane(&self) -> Option<&DeflectionFabric> {
-        match &self.spill {
-            SpillPlane::Packet(_) => None,
-            SpillPlane::Deflection(d) => Some(d),
-        }
+        &self.spill
     }
 
     /// The GT-on-circuit vs BE-on-packet split so far.
@@ -296,14 +206,14 @@ impl HybridFabric {
     fn plane(&self, slot: PlaneSlot) -> (&dyn Fabric, StreamId) {
         match slot {
             PlaneSlot::Circuit(local) => (&self.circuit, local),
-            PlaneSlot::Packet(local) => (self.spill.as_fabric(), local),
+            PlaneSlot::Packet(local) => (&self.spill, local),
         }
     }
 
     fn plane_mut(&mut self, slot: PlaneSlot) -> (&mut dyn Fabric, StreamId) {
         match slot {
             PlaneSlot::Circuit(local) => (&mut self.circuit, local),
-            PlaneSlot::Packet(local) => (self.spill.as_fabric_mut(), local),
+            PlaneSlot::Packet(local) => (&mut self.spill, local),
         }
     }
 
@@ -345,7 +255,7 @@ impl HybridFabric {
     pub fn set_parallelism(&mut self, policy: ParPolicy) {
         self.policy = policy;
         self.circuit.set_parallelism(policy);
-        self.spill.as_fabric_mut().set_parallelism(policy);
+        self.spill.set_parallelism(policy);
     }
 
     fn entry(&self, stream: StreamId) -> HybridHandle {
@@ -414,7 +324,7 @@ impl Fabric for HybridFabric {
             spilled: mapping.spilled.clone(),
             lane_capacity: mapping.lane_capacity,
         };
-        let packet_ids = self.spill.as_fabric_mut().provision(&spill_view)?;
+        let packet_ids = Fabric::provision(&mut self.spill, &spill_view)?;
 
         let streams = mapping.streams();
         self.handles.reset(streams.len() as u32);
@@ -469,7 +379,6 @@ impl Fabric for HybridFabric {
             .collect();
         let packet: HashMap<u32, StreamStats> = self
             .spill
-            .as_fabric()
             .stream_stats()
             .into_iter()
             .map(|s| (s.id.0, s))
@@ -525,10 +434,7 @@ impl Fabric for HybridFabric {
                 (PlaneSlot::Circuit(local), paths)
             }
             Err(AdmitError::Unsupported(why)) => return Err(AdmitError::Unsupported(why)),
-            Err(_circuit_full) => (
-                PlaneSlot::Packet(self.spill.as_fabric_mut().admit(demand)?),
-                0,
-            ),
+            Err(_circuit_full) => (PlaneSlot::Packet(self.spill.admit(demand)?), 0),
         };
         let id = self.handles.issue();
         self.handles.insert(id, HybridHandle { slot, paths });
@@ -549,7 +455,7 @@ impl Fabric for HybridFabric {
     /// `Fabric::finish_injection` contract for composite fabrics).
     fn finish_injection(&mut self) {
         self.circuit.finish_injection();
-        self.spill.as_fabric_mut().finish_injection();
+        self.spill.finish_injection();
     }
 
     fn set_parallelism(&mut self, policy: ParPolicy) {
@@ -565,7 +471,7 @@ impl Fabric for HybridFabric {
         // sequential or single-lane policy without waking the pool).
         let nodes = Soc::mesh(&self.circuit).nodes();
         let circuit = &mut self.circuit;
-        let spill = self.spill.as_fabric_mut();
+        let spill = &mut self.spill;
         par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());
         self.now += 1;
     }
@@ -574,27 +480,25 @@ impl Fabric for HybridFabric {
     /// in event counts per `(component, class)`, so the merged ledger
     /// prices exactly like the planes priced separately.
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged = self.circuit.activity();
-        for comp in self.spill.as_fabric().activity() {
-            match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                Some(existing) => existing.ledger.merge(&comp.ledger),
-                None => merged.push(comp),
-            }
-        }
-        merged
+        merge_by_kind(
+            self.circuit
+                .activity()
+                .into_iter()
+                .chain(self.spill.activity()),
+        )
     }
 
     fn clear_activity(&mut self) {
         self.circuit.clear_activity();
-        self.spill.as_fabric_mut().clear_activity();
+        self.spill.clear_activity();
     }
 
     fn is_quiescent(&self) -> bool {
-        Fabric::is_quiescent(&self.circuit) && self.spill.as_fabric().is_quiescent()
+        Fabric::is_quiescent(&self.circuit) && self.spill.is_quiescent()
     }
 
     fn total_overflows(&self) -> u64 {
-        Fabric::total_overflows(&self.circuit) + self.spill.as_fabric().total_overflows()
+        Fabric::total_overflows(&self.circuit) + self.spill.total_overflows()
     }
 
     fn spilled_streams(&self) -> u64 {
@@ -611,7 +515,7 @@ impl Fabric for HybridFabric {
     /// charged on all of it; the *clock* energy of the idle packet plane
     /// is what gating removes.)
     fn area(&self, model: &EnergyModel) -> SquareMicroMeters {
-        Fabric::area(&self.circuit, model) + self.spill.as_fabric().area(model)
+        Fabric::area(&self.circuit, model) + self.spill.area(model)
     }
 }
 
@@ -961,55 +865,6 @@ mod tests {
             Fabric::inject_stream(&mut hybrid, bogus, &[1]);
         }));
         assert!(result.is_err(), "no such session handle");
-    }
-
-    #[test]
-    fn deflection_spill_plane_carries_the_overflow() {
-        // The same oversubscribed line, but the spillover rides the
-        // bufferless deflection plane: the spilled session still delivers
-        // exactly, labelled Spilled, and its telemetry carries the
-        // deflection plane's max_deflections counter.
-        let (g, mesh, ccn) = oversubscribed_line();
-        let mapping = ccn
-            .map_with_spill(&g, &default_tile_kinds(&mesh))
-            .expect("spill admission");
-        assert_eq!(mapping.spilled.len(), 1, "premise: the light edge spills");
-
-        let mut hybrid = HybridFabric::with_deflection_spill(
-            mesh,
-            RouterParams::paper(),
-            noc_packet::deflection::DeflectionParams::paper(),
-        );
-        assert!(hybrid.deflection_plane().is_some());
-        let ids = Fabric::provision(&mut hybrid, &mapping).unwrap();
-        let words: Vec<u16> = (0..40).map(|i| 0x7000 + i).collect();
-        Fabric::inject_stream(&mut hybrid, ids[1], &words);
-        let delivered = drive_until_quiet(&mut hybrid, ids[1]);
-        assert_eq!(delivered, words, "spilled stream delivered intact");
-        assert_eq!(hybrid.spill_stats().words_spilled, 40);
-        assert!(Fabric::is_quiescent(&hybrid));
-        let spilled = Fabric::stream_stats(&hybrid)
-            .into_iter()
-            .find(|s| s.plane == StreamPlane::Spilled)
-            .expect("one spilled session");
-        assert_eq!(spilled.delivered_words, 40);
-        // A single spilled stream on an otherwise idle plane never
-        // deflects — the counter is wired through, and it is honest.
-        assert_eq!(spilled.max_deflections, 0);
-        // Snapshot/restore round-trips the deflection spill plane too.
-        let snap = Fabric::snapshot(&hybrid);
-        let mut other = HybridFabric::with_deflection_spill(
-            mesh,
-            RouterParams::paper(),
-            noc_packet::deflection::DeflectionParams::paper(),
-        );
-        Fabric::restore(&mut other, &snap).unwrap();
-        assert_eq!(other.spill_stats().words_spilled, 40);
-
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = hybrid.packet_plane();
-        }));
-        assert!(result.is_err(), "packet_plane() refuses a deflection spill");
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use deployment::{
 pub use fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
 };
-pub use hybrid::{HybridFabric, SpillPlane, SpillStats};
+pub use hybrid::{HybridFabric, SpillStats};
 pub use soc::Soc;
 pub use stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,

@@ -22,7 +22,7 @@
 use crate::be::{BeConfig, BeNetwork};
 use crate::ccn::{Ccn, EdgeRoute, Mapping};
 use crate::fabric::{
-    EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
+    merge_by_kind, EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
 };
 use crate::session::SessionTable;
 use crate::stream::{
@@ -577,16 +577,7 @@ impl Soc {
 
     /// Merge the whole SoC's per-component activity (for SoC-level power).
     pub fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in &self.routers {
-            for comp in r.activity() {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind(self.routers.iter().flat_map(|r| r.activity()))
     }
 
     /// Sum of all routers' activity as one ledger.

@@ -13,23 +13,24 @@
 //! One pipeline stage, matching the one-cycle latency of the registered
 //! crossbars it is compared against:
 //!
-//! 1. **Arrival.** Up to one flit is sampled per input link (plus at most
-//!    one tile injection and, with a side buffer, one re-injection).
+//! 1. **Arrival.** Up to one flit is sampled per input link, plus at most
+//!    one tile injection.
 //! 2. **Age-based arbitration.** Arrivals are ranked oldest-first by their
 //!    injection timestamp ([`DeflectFlit::born`], ties broken by input
 //!    port). One flit destined here may eject to the tile per cycle; the
 //!    rest claim output ports in age order — a productive port (XY
-//!    preference) when one is free, otherwise the optional MinBD-style side
-//!    buffer, otherwise *any* free valid port (a deflection). Oldest-first
-//!    arbitration makes the scheme livelock-free: the globally oldest flit
-//!    always wins a productive port, so it delivers in bounded time.
+//!    preference) when one is free, otherwise *any* free valid port (a
+//!    deflection). Oldest-first arbitration makes the scheme
+//!    livelock-free: the globally oldest flit always wins a productive
+//!    port, so it delivers in bounded time.
 //! 3. **Commit.** Output registers latch and drive the links.
 //!
 //! # Energy model
 //!
 //! There are **no FIFOs**: no `BufferWrite`/`BufferRead` terms and no
-//! per-cycle FIFO clock offset — only the five 64-bit output registers (and
-//! the side buffer's storage flops when enabled) pay clock energy. The cost
+//! per-cycle FIFO clock offset — only the five 64-bit output registers pay
+//! clock energy, every cycle (the router is never clock-gated), and the
+//! `Buffering` ledger stays empty. The cost
 //! of contention appears instead as per-deflection *re-traversal*: a
 //! deflected flit pays extra link toggles and crossbar register toggles at
 //! every additional hop, plus an `ArbiterGrantChange` at the deflecting
@@ -40,18 +41,17 @@
 //! [`DeflectionSlab`] mirrors [`crate::router::RouterSlab`]: all routers of
 //! a fabric in flat per-field arrays (`[router × port]` stride indexing),
 //! stepped by router index with zero per-cycle heap allocation, with the
-//! same `settled`/`skipped`/`inbox`/`quiet` idle fast path and precomputed
-//! exact idle clock costs. [`DeflectionRouter`] is the slab-of-one wrapper.
+//! same `settled`/`skipped`/`inbox`/`quiet` idle fast path and one exact
+//! idle clock constant. [`DeflectionRouter`] is the slab-of-one wrapper.
 //!
 //! # Port validity invariant
 //!
 //! Deflection must never push a flit off the mesh edge, so the slab
 //! precomputes a valid-port mask per router from its coordinates and the
 //! mesh dimensions. Arrivals can never exceed the free valid ports:
-//! neighbours only drive valid ports (≤ `capacity` flits), the tile may
-//! inject only while mesh arrivals are below `capacity`, and the side
-//! buffer re-injects only below `capacity` — so port assignment always
-//! succeeds, checked by an `expect` in the hot path.
+//! neighbours only drive valid ports (≤ `capacity` flits) and the tile may
+//! inject only while mesh arrivals are below `capacity` — so port
+//! assignment always succeeds, checked by an `expect` in the hot path.
 //!
 //! **Stepping order caveat:** a cycle's link inputs must be applied before
 //! [`DeflectionSlab::tile_can_inject`] is consulted — the injection guard
@@ -151,23 +151,14 @@ fn image_of(f: Option<&DeflectFlit>) -> u64 {
 pub struct DeflectionParams {
     /// This router's mesh coordinates.
     pub coords: Coords,
-    /// Gate clocks of parked registers (and empty side-buffer slots).
-    pub clock_gating: bool,
-    /// Depth of the optional MinBD-style side buffer (0 = pure bufferless).
-    /// A flit that would deflect is absorbed here instead when a slot is
-    /// free, and re-injected — oldest first — on a later cycle with spare
-    /// arrival bandwidth. Absorptions are *not* counted as deflections.
-    pub side_buffer: usize,
 }
 
 impl DeflectionParams {
     /// The configuration compared against the paper's routers: pure
-    /// bufferless (no side buffer), ungated, at the origin.
+    /// bufferless and ungated, at the origin.
     pub fn paper() -> DeflectionParams {
         DeflectionParams {
             coords: Coords::new(0, 0),
-            clock_gating: false,
-            side_buffer: 0,
         }
     }
 
@@ -177,19 +168,7 @@ impl DeflectionParams {
         self
     }
 
-    /// Same parameters with clock gating enabled.
-    pub fn gated(mut self) -> DeflectionParams {
-        self.clock_gating = true;
-        self
-    }
-
-    /// Same parameters with a `depth`-entry side buffer.
-    pub fn with_side_buffer(mut self, depth: usize) -> DeflectionParams {
-        self.side_buffer = depth;
-        self
-    }
-
-    /// Bits one flit occupies on a link or in a side-buffer slot.
+    /// Bits one flit occupies on a link or in an output register.
     pub fn flit_bits(&self) -> u32 {
         DEFLECT_LINK_BITS
     }
@@ -201,26 +180,20 @@ impl Default for DeflectionParams {
     }
 }
 
-/// The five per-router activity ledgers, at the paper's Table 4 component
+/// The per-router activity ledgers, at the paper's Table 4 component
 /// granularity (no FIFO row, no flow-control row — deflection has neither).
 #[derive(Debug, Clone, Copy, Default)]
 struct DeflectLedgers {
     xbar: ActivityLedger,
     arb: ActivityLedger,
     route: ActivityLedger,
-    buffer: ActivityLedger,
     link: ActivityLedger,
 }
 
-/// Per-cycle `RegClock` charges of a fully idle **ungated** deflection
-/// router. Precomputed once; applied verbatim on idle-skipped commits.
-#[derive(Debug, Clone, Copy)]
-struct IdleCosts {
-    /// Output registers: `P × DEFLECT_LINK_BITS`.
-    xbar: u64,
-    /// Side-buffer storage flops: `side_buffer × DEFLECT_LINK_BITS`.
-    buffer: u64,
-}
+/// Per-cycle `RegClock` charge of a fully idle deflection router — its
+/// output registers, `P × DEFLECT_LINK_BITS` — applied verbatim on
+/// idle-skipped commits.
+const IDLE_REG_CLOCK: u64 = P as u64 * DEFLECT_LINK_BITS as u64;
 
 /// All deflection routers of one fabric, as structure-of-arrays.
 ///
@@ -256,8 +229,6 @@ pub struct DeflectionSlab {
     /// Which source each output last selected (crossbar select).
     out_select: Vec<Wire<u8>>,
 
-    /// Optional MinBD-style side buffer, per router.
-    side_buf: Vec<VecDeque<DeflectFlit>>,
     /// Flits ejected to the tile, awaiting the tile interface.
     tile_rx: Vec<VecDeque<DeflectFlit>>,
 
@@ -272,28 +243,25 @@ pub struct DeflectionSlab {
 
     /// Architectural state fully parked after the last commit.
     settled: Vec<bool>,
-    /// This cycle's evaluation was skipped (commit applies [`IdleCosts`]).
+    /// This cycle's evaluation was skipped (commit applies
+    /// [`IDLE_REG_CLOCK`]).
     skipped: Vec<bool>,
     /// A link flit or injection was sampled since the last evaluation.
     inbox: Vec<bool>,
     /// Router drives no link flit — neighbours' wiring can skip sampling.
     quiet: Vec<bool>,
-
-    idle: IdleCosts,
 }
 
 /// One router's mutable stripe through the slab.
 struct Lane<'a> {
     here: Coords,
     valid: &'a [bool],
-    capacity: u8,
     link_in: &'a mut [Option<DeflectFlit>],
     out_regs: &'a mut [Reg<u64>],
     out_next: &'a mut [Option<DeflectFlit>],
     out_flits: &'a mut [Option<DeflectFlit>],
     link_wires: &'a mut [Wire<u64>],
     out_select: &'a mut [Wire<u8>],
-    side_buf: &'a mut VecDeque<DeflectFlit>,
     tile_rx: &'a mut VecDeque<DeflectFlit>,
     led: &'a mut DeflectLedgers,
     flits_delivered: &'a mut u64,
@@ -310,14 +278,12 @@ struct Lane<'a> {
 struct SlabPtrs {
     coords: *const Coords,
     valid: *const bool,
-    capacity: *const u8,
     link_in: *mut Option<DeflectFlit>,
     out_regs: *mut Reg<u64>,
     out_next: *mut Option<DeflectFlit>,
     out_flits: *mut Option<DeflectFlit>,
     link_wires: *mut Wire<u64>,
     out_select: *mut Wire<u8>,
-    side_buf: *mut VecDeque<DeflectFlit>,
     tile_rx: *mut VecDeque<DeflectFlit>,
     ledgers: *mut DeflectLedgers,
     flits_delivered: *mut u64,
@@ -372,10 +338,6 @@ impl DeflectionSlab {
                 capacity[r] += u8::from(ok);
             }
         }
-        let idle = IdleCosts {
-            xbar: P as u64 * u64::from(DEFLECT_LINK_BITS),
-            buffer: params.side_buffer as u64 * u64::from(DEFLECT_LINK_BITS),
-        };
         DeflectionSlab {
             params,
             n,
@@ -388,7 +350,6 @@ impl DeflectionSlab {
             out_flits: vec![None; n * P],
             link_wires: vec![Wire::new(0, ActivityClass::LinkToggle); n * P],
             out_select: vec![Wire::new(0, ActivityClass::SelectToggle); n * P],
-            side_buf: vec![VecDeque::new(); n],
             tile_rx: vec![VecDeque::new(); n],
             ledgers: vec![DeflectLedgers::default(); n],
             flits_injected: vec![0; n],
@@ -398,7 +359,6 @@ impl DeflectionSlab {
             skipped: vec![false; n],
             inbox: vec![false; n],
             quiet: vec![false; n],
-            idle,
         }
     }
 
@@ -510,21 +470,18 @@ impl DeflectionSlab {
         self.deflections[r]
     }
 
-    /// Flits currently absorbed in router `r`'s side buffer.
-    pub fn side_buffered(&self, r: usize) -> usize {
-        self.side_buf[r].len()
-    }
-
     // ----- activity --------------------------------------------------------
 
     /// Router `r`'s per-component activity snapshots (Table 4 granularity).
+    /// The `Buffering` ledger is always empty — the router has no FIFOs —
+    /// and is reported so every router's activity has the same five rows.
     pub fn activity(&self, r: usize) -> Vec<ComponentActivity> {
         let led = &self.ledgers[r];
         vec![
             ComponentActivity::new(ComponentKind::Crossbar, led.xbar),
             ComponentActivity::new(ComponentKind::Arbitration, led.arb),
             ComponentActivity::new(ComponentKind::Routing, led.route),
-            ComponentActivity::new(ComponentKind::Buffering, led.buffer),
+            ComponentActivity::new(ComponentKind::Buffering, ActivityLedger::new()),
             ComponentActivity::new(ComponentKind::Link, led.link),
         ]
     }
@@ -534,14 +491,13 @@ impl DeflectionSlab {
         self.ledgers.fill(DeflectLedgers::default());
     }
 
-    /// Does router `r` hold no flit anywhere — inputs, outputs and side
-    /// buffer all empty? (drain detection; the tile queue is the fabric's)
+    /// Does router `r` hold no flit anywhere — inputs and outputs all
+    /// empty? (drain detection; the tile queue is the fabric's)
     pub fn is_quiescent(&self, r: usize) -> bool {
         self.link_in[r * P..(r + 1) * P].iter().all(Option::is_none)
             && self.out_flits[r * P..(r + 1) * P]
                 .iter()
                 .all(Option::is_none)
-            && self.side_buf[r].is_empty()
     }
 
     // ----- stepping --------------------------------------------------------
@@ -550,14 +506,12 @@ impl DeflectionSlab {
         SlabPtrs {
             coords: self.coords.as_ptr(),
             valid: self.valid.as_ptr(),
-            capacity: self.capacity.as_ptr(),
             link_in: self.link_in.as_mut_ptr(),
             out_regs: self.out_regs.as_mut_ptr(),
             out_next: self.out_next.as_mut_ptr(),
             out_flits: self.out_flits.as_mut_ptr(),
             link_wires: self.link_wires.as_mut_ptr(),
             out_select: self.out_select.as_mut_ptr(),
-            side_buf: self.side_buf.as_mut_ptr(),
             tile_rx: self.tile_rx.as_mut_ptr(),
             ledgers: self.ledgers.as_mut_ptr(),
             flits_delivered: self.flits_delivered.as_mut_ptr(),
@@ -586,14 +540,12 @@ impl DeflectionSlab {
             Lane {
                 here: *p.coords.add(r),
                 valid: from_raw_parts(p.valid.add(r * P), P),
-                capacity: *p.capacity.add(r),
                 link_in: from_raw_parts_mut(p.link_in.add(r * P), P),
                 out_regs: from_raw_parts_mut(p.out_regs.add(r * P), P),
                 out_next: from_raw_parts_mut(p.out_next.add(r * P), P),
                 out_flits: from_raw_parts_mut(p.out_flits.add(r * P), P),
                 link_wires: from_raw_parts_mut(p.link_wires.add(r * P), P),
                 out_select: from_raw_parts_mut(p.out_select.add(r * P), P),
-                side_buf: &mut *p.side_buf.add(r),
                 tile_rx: &mut *p.tile_rx.add(r),
                 led: &mut *p.ledgers.add(r),
                 flits_delivered: &mut *p.flits_delivered.add(r),
@@ -608,19 +560,16 @@ impl DeflectionSlab {
 
     /// Evaluate router `r` (sequential helper; the single-router wrapper).
     pub fn eval_one(&mut self, r: usize) {
-        let params = self.params;
         let ptrs = self.ptrs();
         // SAFETY: exclusive &mut self, one lane live.
-        eval_lane(&params, unsafe { Self::lane(ptrs, r) });
+        eval_lane(unsafe { Self::lane(ptrs, r) });
     }
 
     /// Commit router `r` (sequential helper; the single-router wrapper).
     pub fn commit_one(&mut self, r: usize) {
-        let params = self.params;
-        let idle = self.idle;
         let ptrs = self.ptrs();
         // SAFETY: exclusive &mut self, one lane live.
-        commit_lane(&params, &idle, unsafe { Self::lane(ptrs, r) });
+        commit_lane(unsafe { Self::lane(ptrs, r) });
     }
 
     /// Clock every router one cycle — each one's eval then its commit —
@@ -629,16 +578,14 @@ impl DeflectionSlab {
     /// sampled before the call, so no router can see whether another has
     /// committed yet. Bit-identical to a sequential sweep in index order.
     pub fn par_step(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let idle = self.idle;
         let ptrs = self.ptrs();
         par_indexed(self.n, policy, move |r| {
             // SAFETY: par_indexed runs each index exactly once; stripes
             // are disjoint per index; the dispatch barrier outlives lanes,
             // and the eval view is dropped before the commit view is made.
-            eval_lane(&params, unsafe { Self::lane(ptrs, r) });
+            eval_lane(unsafe { Self::lane(ptrs, r) });
             // SAFETY: as above.
-            commit_lane(&params, &idle, unsafe { Self::lane(ptrs, r) });
+            commit_lane(unsafe { Self::lane(ptrs, r) });
         });
     }
 }
@@ -665,7 +612,7 @@ fn productive_ports(here: Coords, dest: Coords) -> [Option<PacketPort>; 2] {
 
 /// Evaluate phase for one router stripe: age-sorted arrival ranking, one
 /// ejection, productive-or-deflect port assignment.
-fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
+fn eval_lane(lane: Lane<'_>) {
     // Idle fast path: state fully parked and nothing sampled — evaluation
     // is a provable no-op (no arrivals to rank, every register holds 0).
     if *lane.settled && !*lane.inbox {
@@ -675,10 +622,9 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
     *lane.skipped = false;
     *lane.inbox = false;
 
-    // --- 1. Arrival: gather this cycle's flits (≤ P links + 1 side slot).
-    // `P` doubles as the side-buffer pseudo-source index in `srcs`.
-    let mut flits: [Option<DeflectFlit>; P + 1] = [None; P + 1];
-    let mut srcs = [0usize; P + 1];
+    // --- 1. Arrival: gather this cycle's flits (≤ P, tile included).
+    let mut flits: [Option<DeflectFlit>; P] = [None; P];
+    let mut srcs = [0usize; P];
     let mut n = 0;
     for port in 0..P {
         if let Some(f) = lane.link_in[port].take() {
@@ -686,25 +632,6 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
             srcs[n] = port;
             n += 1;
         }
-    }
-    // Side-buffer re-injection: the oldest absorbed flit re-enters when
-    // the cycle has spare arrival bandwidth (keeps n ≤ capacity).
-    if n < usize::from(lane.capacity) && !lane.side_buf.is_empty() {
-        let mut best = 0;
-        for i in 1..lane.side_buf.len() {
-            if (lane.side_buf[i].born, lane.side_buf[i].seq)
-                < (lane.side_buf[best].born, lane.side_buf[best].seq)
-            {
-                best = i;
-            }
-        }
-        let f = lane.side_buf.remove(best).expect("index in bounds");
-        lane.led
-            .buffer
-            .add(ActivityClass::BufferRead, u64::from(DEFLECT_LINK_BITS));
-        flits[n] = Some(f);
-        srcs[n] = P;
-        n += 1;
     }
 
     // --- 2. Age-based arbitration: rank arrivals oldest-first (injection
@@ -733,7 +660,7 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
     let tile = PacketPort::Tile.index();
     let mut assigned: [Option<DeflectFlit>; P] = [None; P];
     let mut select = [0u8; P];
-    let mut placed = [false; P + 1];
+    let mut placed = [false; P];
 
     // --- 3. Ejection: the oldest flit destined here leaves to the tile
     // (one per cycle — the tile port is a single register like the rest).
@@ -748,7 +675,7 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
     }
 
     // --- 4. Port assignment in age order: productive port when free,
-    // else side-buffer absorption, else deflect to any free valid port.
+    // else deflect to any free valid port.
     for i in 0..n {
         if placed[i] {
             continue;
@@ -761,15 +688,6 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
                 out = Some(pi);
                 break;
             }
-        }
-        if out.is_none() && lane.side_buf.len() < params.side_buffer {
-            // MinBD-style absorption: cheaper than a misroute, and not
-            // counted as one.
-            lane.side_buf.push_back(f);
-            lane.led
-                .buffer
-                .add(ActivityClass::BufferWrite, u64::from(DEFLECT_LINK_BITS));
-            continue;
         }
         if out.is_none() {
             // Deflect: the first free valid mesh port in index order. The
@@ -795,30 +713,17 @@ fn eval_lane(params: &DeflectionParams, lane: Lane<'_>) {
 }
 
 /// Commit phase for one router stripe.
-fn commit_lane(params: &DeflectionParams, idle: &IdleCosts, lane: Lane<'_>) {
-    let gating = params.clock_gating;
-
+fn commit_lane(lane: Lane<'_>) {
     // Idle fast path: evaluation was skipped, so every register holds 0
-    // and the only charges are the parked clock constants — nothing at
-    // all when gated.
+    // and the only charge is the parked clock constant.
     if *lane.skipped {
-        if !gating {
-            lane.led.xbar.add(ActivityClass::RegClock, idle.xbar);
-            if idle.buffer > 0 {
-                lane.led.buffer.add(ActivityClass::RegClock, idle.buffer);
-            }
-        }
+        lane.led.xbar.add(ActivityClass::RegClock, IDLE_REG_CLOCK);
         return;
     }
 
     let tile = PacketPort::Tile.index();
     for port in 0..P {
-        let reg = &mut lane.out_regs[port];
-        if gating && reg.q() == 0 && reg.d() == 0 {
-            reg.clock_gated();
-        } else {
-            reg.clock(&mut lane.led.xbar);
-        }
+        lane.out_regs[port].clock(&mut lane.led.xbar);
         lane.out_flits[port] = lane.out_next[port].take();
         if port != tile && lane.valid[port] {
             let image = lane.out_regs[port].q();
@@ -832,27 +737,13 @@ fn commit_lane(params: &DeflectionParams, idle: &IdleCosts, lane: Lane<'_>) {
         *lane.flits_delivered += 1;
     }
 
-    // Side-buffer storage flops clock every cycle; gated, only occupied
-    // slots do.
-    if params.side_buffer > 0 {
-        let bits = if gating {
-            lane.side_buf.len() as u64 * u64::from(DEFLECT_LINK_BITS)
-        } else {
-            idle.buffer
-        };
-        if bits > 0 {
-            lane.led.buffer.add(ActivityClass::RegClock, bits);
-        }
-    }
-
     // Reassess the fast-path flags from the just-latched state. `quiet`
     // lets neighbours skip wiring; `settled` additionally requires every
-    // output register parked at zero and the side buffer drained, so the
-    // next evaluation can be skipped outright (its commit then applies
-    // exactly the constants above: every register holds d == q == 0).
+    // output register parked at zero, so the next evaluation can be
+    // skipped outright (its commit then applies exactly the constant
+    // above: every register holds d == q == 0).
     *lane.quiet = (1..P).all(|p| lane.out_flits[p].is_none());
-    *lane.settled =
-        *lane.quiet && lane.out_regs.iter().all(|r| r.q() == 0) && lane.side_buf.is_empty();
+    *lane.settled = *lane.quiet && lane.out_regs.iter().all(|r| r.q() == 0);
 }
 
 /// A single deflection router: a [`DeflectionSlab`] of one, for
@@ -919,11 +810,6 @@ impl DeflectionRouter {
     /// Deflections (misroutes) this router has performed.
     pub fn deflections(&self) -> u64 {
         self.slab.deflections(0)
-    }
-
-    /// Flits currently absorbed in the side buffer.
-    pub fn side_buffered(&self) -> usize {
-        self.slab.side_buffered(0)
     }
 
     /// Per-component activity snapshots (Table 4 component granularity).
@@ -1036,13 +922,10 @@ mod tests {
     fn params_defaults_and_knobs() {
         let p = DeflectionParams::paper();
         assert_eq!(p, DeflectionParams::default());
-        assert!(!p.clock_gating);
-        assert_eq!(p.side_buffer, 0);
+        assert_eq!(p.coords, Coords::new(0, 0));
         assert_eq!(p.flit_bits(), 64);
-        let q = p.at(Coords::new(3, 2)).gated().with_side_buffer(4);
+        let q = p.at(Coords::new(3, 2));
         assert_eq!(q.coords, Coords::new(3, 2));
-        assert!(q.clock_gating);
-        assert_eq!(q.side_buffer, 4);
     }
 
     #[test]
@@ -1126,8 +1009,8 @@ mod tests {
         noc_sim::kernel::step(&mut r);
         let got = r.tile_recv().expect("one ejection per cycle");
         assert_eq!(got.born, 2, "older flit wins the tile port");
-        // The younger flit had no productive port (dest == here) and no
-        // side buffer: it was deflected back into the mesh.
+        // The younger flit had no productive port (dest == here): it was
+        // deflected back into the mesh.
         let deflected = PacketPort::ALL
             .into_iter()
             .filter(|&p| p != PacketPort::Tile)
@@ -1140,98 +1023,21 @@ mod tests {
     }
 
     #[test]
-    fn side_buffer_absorbs_instead_of_deflecting() {
-        let here = Coords::new(0, 0);
-        let params = DeflectionParams::paper().with_side_buffer(2);
-        let mut r = DeflectionRouter::new(params, (2, 2));
-        r.set_link_input(PacketPort::East, flit(here, 8));
-        r.set_link_input(PacketPort::South, flit(here, 2));
-        noc_sim::kernel::step(&mut r);
-        assert_eq!(r.tile_recv().map(|f| f.born), Some(2));
-        assert_eq!(r.deflections(), 0, "absorption is not a misroute");
-        assert_eq!(r.side_buffered(), 1);
-        let led = merge_all(&r.activity());
-        assert_eq!(led.get(ActivityClass::BufferWrite), 64);
-        // Next cycle has spare bandwidth: the flit re-injects and ejects.
-        noc_sim::kernel::step(&mut r);
-        assert_eq!(r.tile_recv().map(|f| f.born), Some(8));
-        assert_eq!(r.side_buffered(), 0);
-        let led = merge_all(&r.activity());
-        assert_eq!(led.get(ActivityClass::BufferRead), 64);
-        assert_eq!(r.deflections(), 0);
-    }
-
-    #[test]
     fn idle_fast_path_charges_match_full_path() {
-        for side in [0usize, 4] {
-            let params = DeflectionParams::paper().with_side_buffer(side);
-            let mut r = DeflectionRouter::new(params, (3, 3));
-            // Cycle 1 runs the full path (the slab starts unsettled);
-            // cycle 2 takes the fast path. Charges must match per class.
-            noc_sim::kernel::step(&mut r);
-            let full = merge_all(&r.activity());
-            noc_sim::kernel::step(&mut r);
-            let both = merge_all(&r.activity());
-            let fast = both.delta_since(&full);
-            assert_eq!(full, fast, "side buffer depth {side}");
-            assert_eq!(
-                full.get(ActivityClass::RegClock),
-                (P + side) as u64 * u64::from(DEFLECT_LINK_BITS)
-            );
-            assert_eq!(full.total(), full.get(ActivityClass::RegClock));
-        }
-    }
-
-    #[test]
-    fn gated_idle_router_accumulates_nothing() {
-        let mut r = DeflectionRouter::new(DeflectionParams::paper().gated(), (3, 3));
-        for _ in 0..100 {
-            noc_sim::kernel::step(&mut r);
-        }
-        assert_eq!(merge_all(&r.activity()).total(), 0);
-    }
-
-    #[test]
-    fn gating_changes_energy_not_behaviour() {
-        let run = |params: DeflectionParams| {
-            let mut mesh = TinyMesh::new(params, 3, 3);
-            let mut delivered = Vec::new();
-            let mut injected = 0u64;
-            for cycle in 0..60u64 {
-                mesh.wire();
-                // Cross traffic through the centre from two corners.
-                if cycle < 8 {
-                    for (src, dst) in [(0usize, Coords::new(2, 2)), (2, Coords::new(0, 2))] {
-                        if mesh.slab.tile_can_inject(src) {
-                            let f =
-                                DeflectFlit::new(dst, 3, 0x1000 + cycle as u16, cycle, injected);
-                            assert!(mesh.slab.tile_inject(src, f));
-                            injected += 1;
-                        }
-                    }
-                }
-                mesh.slab.par_step(ParPolicy::Sequential);
-                for r in 0..mesh.slab.len() {
-                    while let Some(f) = mesh.slab.tile_recv(r) {
-                        delivered.push((r, f));
-                    }
-                }
-            }
-            (delivered, mesh.total_activity())
-        };
-        let (ungated_flits, ungated) = run(DeflectionParams::paper());
-        let (gated_flits, gated) = run(DeflectionParams::paper().gated());
+        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (3, 3));
+        // Cycle 1 runs the full path (the slab starts unsettled); cycle 2
+        // takes the fast path. Charges must match per class.
+        noc_sim::kernel::step(&mut r);
+        let full = merge_all(&r.activity());
+        noc_sim::kernel::step(&mut r);
+        let both = merge_all(&r.activity());
+        let fast = both.delta_since(&full);
+        assert_eq!(full, fast);
         assert_eq!(
-            ungated_flits, gated_flits,
-            "gating must not change behaviour"
+            full.get(ActivityClass::RegClock),
+            P as u64 * u64::from(DEFLECT_LINK_BITS)
         );
-        assert!(!ungated_flits.is_empty());
-        assert!(
-            gated.total() < ungated.total() / 2,
-            "gated {} vs ungated {}",
-            gated.total(),
-            ungated.total()
-        );
+        assert_eq!(full.total(), full.get(ActivityClass::RegClock));
     }
 
     #[test]

@@ -125,11 +125,10 @@ pub fn packet_router_area(p: &PacketParams, tech: &Technology) -> AreaBreakdown 
 /// Area breakdown of the bufferless deflection router. Reuses the packet
 /// router's calibrated layout overheads — the blocks are the same kinds
 /// (a congested wide crossbar, flattened arbitration trees, routing
-/// miscellanea), only their sizes differ. The `Buffering` row appears
-/// only when a side buffer is configured; pure bufferless routers simply
-/// have no such component.
+/// miscellanea), only their sizes differ. There is no `Buffering` row:
+/// a bufferless router simply has no such component.
 pub fn deflection_router_area(p: &DeflectionParams, tech: &Technology) -> AreaBreakdown {
-    let mut components = vec![
+    let components = vec![
         (
             ComponentKind::Crossbar,
             area_of(
@@ -151,19 +150,6 @@ pub fn deflection_router_area(p: &DeflectionParams, tech: &Technology) -> AreaBr
             area_of(gates::deflection_misc(p), OVERHEAD_PACKET_MISC, tech),
         ),
     ];
-    if p.side_buffer > 0 {
-        components.insert(
-            1,
-            (
-                ComponentKind::Buffering,
-                area_of(
-                    gates::deflection_buffering(p),
-                    OVERHEAD_PACKET_BUFFERING,
-                    tech,
-                ),
-            ),
-        );
-    }
     AreaBreakdown { components }
 }
 
@@ -290,16 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn deflection_buffering_row_tracks_side_buffer() {
+    fn deflection_router_has_no_buffering_row() {
         let t = tech();
         let pure = deflection_router_area(&DeflectionParams::paper(), &t);
         assert_eq!(
             pure.component(ComponentKind::Buffering),
             SquareMicroMeters::ZERO
         );
-        let minbd = deflection_router_area(&DeflectionParams::paper().with_side_buffer(4), &t);
-        assert!(minbd.component(ComponentKind::Buffering).value() > 0.0);
-        assert!(minbd.total().value() > pure.total().value());
     }
 
     #[test]

@@ -129,42 +129,28 @@ pub fn packet_total(p: &PacketParams) -> f64 {
 const DEFLECT_PORTS: f64 = 5.0;
 
 /// Crossbar gates of the deflection router: a full 64-bit switch from
-/// every link source (plus the side-buffer re-injection slot when one
-/// exists) to every output, the registered outputs, and select
+/// every link source to every output, the registered outputs, and select
 /// distribution. The registers are wider than the packet router's (the
 /// flit carries age/sequence sideband), but there are only five of them —
 /// no per-VC replication.
 pub fn deflection_crossbar(p: &DeflectionParams) -> f64 {
     let out_bits = f64::from(p.flit_bits());
-    let inputs = 5 + usize::from(p.side_buffer > 0);
-    let mux = DEFLECT_PORTS * out_bits * mux_tree(inputs);
+    let mux = DEFLECT_PORTS * out_bits * mux_tree(5);
     let out_regs = DEFLECT_PORTS * out_bits * DFF;
     let selects = DEFLECT_PORTS * 30.0;
     mux + out_regs + selects
 }
 
 /// Arbitration gates: the oldest-first ranking network — pairwise 14-bit
-/// age comparators over the up-to-six arrivals — plus per-port grant
+/// age comparators over the up-to-five arrivals — plus per-port grant
 /// registers. No round-robin pointer state: priority is carried by the
 /// flits themselves.
-pub fn deflection_arbitration(p: &DeflectionParams) -> f64 {
-    let arrivals = DEFLECT_PORTS + f64::from(u8::from(p.side_buffer > 0));
+pub fn deflection_arbitration(_p: &DeflectionParams) -> f64 {
+    let arrivals = DEFLECT_PORTS;
     let age_bits = 14.0;
     let comparators = arrivals * (arrivals - 1.0) / 2.0 * age_bits * 1.5;
     let grant_regs = DEFLECT_PORTS * 3.0 * DFF;
     comparators + grant_regs
-}
-
-/// Buffering gates: the optional MinBD-style side buffer's storage flops
-/// and occupancy control. Exactly zero in the pure bufferless
-/// configuration — deleting this row is the whole point of deflection.
-pub fn deflection_buffering(p: &DeflectionParams) -> f64 {
-    if p.side_buffer == 0 {
-        return 0.0;
-    }
-    let storage = p.side_buffer as f64 * f64::from(p.flit_bits()) * DFF;
-    let ptr_bits = (usize::BITS - (p.side_buffer - 1).leading_zeros()).max(1);
-    storage + counter(ptr_bits) * 2.0 + 10.0
 }
 
 /// Miscellaneous gates: per-arrival route computation (the header
@@ -174,12 +160,10 @@ pub fn deflection_misc(_p: &DeflectionParams) -> f64 {
     DEFLECT_PORTS * 30.0
 }
 
-/// Total deflection-router gates.
+/// Total deflection-router gates. There is no buffering term: deleting
+/// the FIFOs is the whole point of deflection.
 pub fn deflection_total(p: &DeflectionParams) -> f64 {
-    deflection_crossbar(p)
-        + deflection_arbitration(p)
-        + deflection_buffering(p)
-        + deflection_misc(p)
+    deflection_crossbar(p) + deflection_arbitration(p) + deflection_misc(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -278,15 +262,6 @@ mod tests {
             d < packet_buffering(&PacketParams::paper()),
             "deflection router should cost less than the packet FIFOs alone"
         );
-    }
-
-    #[test]
-    fn pure_bufferless_has_zero_buffering_gates() {
-        let p = DeflectionParams::paper();
-        assert_eq!(deflection_buffering(&p), 0.0);
-        let buffered = p.with_side_buffer(4);
-        assert!(deflection_buffering(&buffered) > 4.0 * 64.0 * DFF);
-        assert!(deflection_crossbar(&buffered) > deflection_crossbar(&p));
     }
 
     #[test]

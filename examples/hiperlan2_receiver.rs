@@ -23,7 +23,7 @@ fn main() {
     let cycles = noc_sim::time::cycles_in(Picoseconds::from_micros(100.0), clock);
 
     let mut energies = Vec::new();
-    for kind in FabricKind::BOTH {
+    for kind in [FabricKind::Circuit, FabricKind::Packet] {
         let mut dep = Deployment::builder(&graph)
             .mesh(4, 4)
             .clock(clock)

@@ -64,7 +64,7 @@
 //! graph.add_edge(src, dst, Bandwidth(100.0), TrafficShape::Streaming, "demo edge");
 //!
 //! // ...deployed on a 2x2 mesh at 100 MHz — on either switching fabric.
-//! for kind in FabricKind::BOTH {
+//! for kind in [FabricKind::Circuit, FabricKind::Packet] {
 //!     let mut dep = Deployment::builder(&graph)
 //!         .mesh(2, 2)
 //!         .clock(MegaHertz(100.0))

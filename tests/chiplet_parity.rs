@@ -42,12 +42,7 @@ fn workload(mesh: Mesh) -> Mapping {
 fn flat_fabric(kind: FabricKind, mesh: Mesh) -> Box<dyn Fabric> {
     match kind {
         FabricKind::Circuit => Box::new(Soc::new(mesh, RouterParams::paper())),
-        FabricKind::Hybrid => Box::new(HybridFabric::new(
-            mesh,
-            RouterParams::paper(),
-            PacketParams::paper(),
-            PacketFabric::DEFAULT_PACKET_WORDS,
-        )),
+        FabricKind::Hybrid => Box::new(HybridFabric::new(mesh, RouterParams::paper())),
         FabricKind::Deflection => Box::new(DeflectionFabric::new(mesh, DeflectionParams::paper())),
         FabricKind::Packet => Box::new(PacketFabric::new(
             mesh,

@@ -33,7 +33,7 @@ fn assert_guaranteed_throughput<F: Fabric>(
 #[test]
 fn hiperlan2_end_to_end_guaranteed_throughput_both_fabrics() {
     let graph = noc_apps::hiperlan2::task_graph(&Hiperlan2Params::standard(Modulation::Qam64));
-    for kind in FabricKind::BOTH {
+    for kind in [FabricKind::Circuit, FabricKind::Packet] {
         let dep = Deployment::builder(&graph)
             .mesh(4, 4)
             .clock(MegaHertz(200.0))

@@ -39,7 +39,7 @@ fn identical_payload_and_lower_circuit_energy() {
     let cycles = 8_000;
 
     let mut per_fabric = Vec::new();
-    for kind in FabricKind::BOTH {
+    for kind in [FabricKind::Circuit, FabricKind::Packet] {
         let mut dep = deploy(&graph, kind, 0x2005);
         dep.run(cycles);
         dep.settle(cycles);
@@ -119,7 +119,7 @@ fn parity_holds_across_seeds() {
     let graph = hiperlan2_style_stream(3, 80.0);
     for seed in [1u64, 42, 0xDEAD_BEEF] {
         let mut payloads = Vec::new();
-        for kind in FabricKind::BOTH {
+        for kind in [FabricKind::Circuit, FabricKind::Packet] {
             let mut dep = deploy(&graph, kind, seed);
             dep.run(3_000);
             dep.settle(3_000);
