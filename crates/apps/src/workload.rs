@@ -63,16 +63,6 @@ pub enum PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// A short stable label for reports and bench artefacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PhaseProfile::Steady => "steady",
-            PhaseProfile::BurstyOnOff { .. } => "bursty-on-off",
-            PhaseProfile::DiurnalRamp { .. } => "diurnal-ramp",
-            PhaseProfile::HotspotFlip { .. } => "hotspot-flip",
-        }
-    }
-
     /// The offered-load scale for stream `stream` of `streams` at
     /// absolute cycle `cycle`. Always in `0.0..=1.0`; pure in all three
     /// arguments.

@@ -3,8 +3,9 @@
 //! evaluation embarrassingly parallel; this bench locates the crossover
 //! where fanning out starts paying off (small meshes lose to the
 //! `WorkerPool` dispatch round-trip — the `ParPolicy::Auto` threshold,
-//! `ParPolicy::AUTO_SEQUENTIAL_BELOW`). The `scale_bench` binary runs the
-//! same comparison fabric-generically up to 16×16 with parity checking.
+//! `ParPolicy::AUTO_SEQUENTIAL_BELOW`). perfbench `--trace 1` makes the
+//! same comparison on 16×16 meshes of every backend, with parity checking
+//! (`par.seq_over_auto.<backend>`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use noc_apps::traffic::DataPattern;

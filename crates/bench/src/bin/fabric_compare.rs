@@ -39,7 +39,6 @@ use noc_mesh::hybrid::HybridFabric;
 use noc_mesh::soc::Soc;
 use noc_mesh::stream::{ProvisionMode, ReleaseMode, StreamId, StreamPlane, StreamStats};
 use noc_mesh::topology::Mesh;
-use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_sim::time::CycleCount;
 use noc_sim::units::{Bandwidth, MegaHertz};
@@ -339,9 +338,7 @@ fn chiplet_parity_gate(cfg: &BenchConfig) -> usize {
         let mut flat: Box<dyn Fabric> = match kind {
             FabricKind::Circuit => Box::new(Soc::new(mesh, RouterParams::paper())),
             FabricKind::Hybrid => Box::new(HybridFabric::paper(mesh)),
-            FabricKind::Deflection => {
-                Box::new(DeflectionFabric::new(mesh, DeflectionParams::paper()))
-            }
+            FabricKind::Deflection => Box::new(DeflectionFabric::paper(mesh)),
             FabricKind::Packet => Box::new(PacketFabric::new(
                 mesh,
                 PacketParams::paper(),

@@ -38,7 +38,6 @@
 //! [`LoadDemotion::hardened`] (EWMA + minimum dwell), returning both
 //! flap counts. The hardened policy must show zero.
 
-use crate::json::Json;
 use noc_apps::taskgraph::TaskGraph;
 use noc_apps::workload::PhaseProfile;
 use noc_core::params::RouterParams;
@@ -205,18 +204,6 @@ pub enum TenantState {
     Draining,
     /// Quiescent: everything accepted was delivered; no longer stepped.
     Retired,
-}
-
-impl TenantState {
-    /// A short stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TenantState::Admitted => "admitted",
-            TenantState::Running => "running",
-            TenantState::Draining => "draining",
-            TenantState::Retired => "retired",
-        }
-    }
 }
 
 /// One fleet member: a controlled deployment plus its lifecycle state and
@@ -645,26 +632,6 @@ pub struct TenantSlo {
     pub controller: ControllerStats,
 }
 
-impl TenantSlo {
-    /// The tenant's row in `BENCH_fleet.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("name", self.name.as_str())
-            .with("state", self.state.label())
-            .with("injected", self.injected)
-            .with("delivered", self.delivered)
-            .with("in_flight", self.in_flight)
-            .with("overflows", self.overflows)
-            .with("gt_p95", self.gt_p95)
-            .with("be_p95", self.be_p95)
-            .with("service_gap", self.service_gap.map(Json::Int))
-            .with("admission_latency", self.admission_latency)
-            .with("promotions", self.controller.promotions)
-            .with("demotions", self.controller.demotions)
-            .with("eviction_flaps", self.controller.pointless_evictions)
-    }
-}
-
 /// The fleet-wide SLO aggregate: payload conservation, lifecycle census,
 /// latency extremes and the summed control-plane counters. Integer-only
 /// and `Eq` — two bit-identical runs produce `==` reports.
@@ -706,48 +673,9 @@ pub struct FleetSloReport {
 
 impl FleetSloReport {
     /// `true` when every word accepted anywhere was delivered and nothing
-    /// overflowed — the zero-loss SLO the bench gate enforces.
+    /// overflowed — the zero-loss SLO the fleet tests enforce.
     pub fn loss_free(&self) -> bool {
         self.injected == self.delivered && self.overflows == 0
-    }
-
-    /// The report as a `BENCH_fleet.json` fragment (aggregates plus the
-    /// per-tenant rows).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("batches", self.batches)
-            .with("batch_cycles", self.batch_cycles)
-            .with("injected", self.injected)
-            .with("delivered", self.delivered)
-            .with("overflows", self.overflows)
-            .with("loss_free", self.loss_free())
-            .with(
-                "census",
-                Json::obj()
-                    .with("admitted", self.admitted)
-                    .with("running", self.running)
-                    .with("draining", self.draining)
-                    .with("retired", self.retired),
-            )
-            .with("worst_gt_p95", self.worst_gt_p95)
-            .with("worst_be_p95", self.worst_be_p95)
-            .with("max_admission_latency", self.max_admission_latency)
-            .with("eviction_flaps", self.eviction_flaps)
-            .with(
-                "controller",
-                Json::obj()
-                    .with("ticks", self.controller.ticks)
-                    .with("promotions", self.controller.promotions)
-                    .with("demotions", self.controller.demotions)
-                    .with("readmissions", self.controller.readmissions)
-                    .with("lost", self.controller.lost)
-                    .with("suppressed_evictions", self.controller.suppressed_evictions)
-                    .with("pointless_evictions", self.controller.pointless_evictions),
-            )
-            .with(
-                "tenants",
-                Json::Array(self.tenants.iter().map(TenantSlo::to_json).collect()),
-            )
     }
 }
 
@@ -772,27 +700,17 @@ impl FlapProbe {
     pub fn hardening_holds(&self) -> bool {
         self.baseline_flaps > 0 && self.hardened_flaps == 0 && self.hardened_demotions == 0
     }
-
-    /// The probe's `BENCH_fleet.json` fragment.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("baseline_flaps", self.baseline_flaps)
-            .with("baseline_suppressed", self.baseline_suppressed)
-            .with("hardened_flaps", self.hardened_flaps)
-            .with("hardened_demotions", self.hardened_demotions)
-            .with("hardening_holds", self.hardening_holds())
-    }
 }
 
-/// The packaged eviction-stability experiment behind the
-/// `fleet_bench --smoke` gate: one oversubscribed tenant (the canonical
-/// 3×1 line at 25 MHz — a heavy GT circuit plus a spilled stream keeping
-/// demotion pressure alive) driven by a bursty on/off profile aligned to
-/// the 64-cycle policy window (three windows on, one off), run for
-/// `batches` windows under the raw [`LoadDemotion`] baseline and again
-/// under [`LoadDemotion::hardened`]. The raw measurement reads every
-/// off-window as abandonment and flaps; the EWMA + minimum-dwell policy
-/// must ride the bursts out without a single demotion.
+/// The packaged eviction-stability experiment: one oversubscribed tenant
+/// (the canonical 3×1 line at 25 MHz — a heavy GT circuit plus a spilled
+/// stream keeping demotion pressure alive) driven by a bursty on/off
+/// profile aligned to the 64-cycle policy window (three windows on, one
+/// off), run for `batches` windows under the raw [`LoadDemotion`]
+/// baseline and again under [`LoadDemotion::hardened`]. The raw
+/// measurement reads every off-window as abandonment and flaps; the
+/// EWMA + minimum-dwell policy must ride the bursts out without a single
+/// demotion.
 pub fn flap_probe(batches: u64) -> FlapProbe {
     let run = |policy: Box<dyn AdmissionPolicy>| -> ControllerStats {
         let ccn = Ccn::new(Mesh::new(3, 1), RouterParams::paper(), MegaHertz(25.0));
@@ -981,15 +899,5 @@ mod tests {
         assert_eq!(probe.hardened_flaps, 0, "{probe:?}");
         assert_eq!(probe.hardened_demotions, 0, "{probe:?}");
         assert!(probe.hardening_holds());
-    }
-
-    #[test]
-    fn slo_report_serialises_to_json() {
-        let (mut fleet, _) = small_fleet(2);
-        fleet.run_batches(4);
-        let text = fleet.slo_report().to_json().pretty();
-        assert!(text.contains("\"loss_free\""));
-        assert!(text.contains("\"tenant-0\""));
-        assert!(text.contains("\"eviction_flaps\""));
     }
 }

@@ -25,8 +25,6 @@
 //!   with snapshot/restore, phase-shifting workloads and aggregate SLO
 //!   reporting ([`fleet::Fleet`], [`fleet::FleetSloReport`],
 //!   [`fleet::flap_probe`]).
-//! * [`json`] — the hand-rolled JSON document model behind the
-//!   machine-readable `BENCH_*.json` bench artefacts.
 //! * [`random_traffic`] — uniform-random best-effort traffic on the
 //!   packet-switched mesh, the load-latency curve behind
 //!   `be_random_traffic` ([`random_traffic::uniform_random`]).
@@ -38,7 +36,6 @@ pub mod fabric_bench;
 pub mod fig10;
 pub mod fig9;
 pub mod fleet;
-pub mod json;
 pub mod random_traffic;
 pub mod reference;
 pub mod tables;
@@ -51,5 +48,4 @@ pub use fleet::{
     flap_probe, FlapProbe, Fleet, FleetRestoreError, FleetSloReport, FleetSnapshot, Tenant,
     TenantSlo, TenantSpec, TenantState,
 };
-pub use json::Json;
 pub use testbench::{CircuitScenarioBench, PacketScenarioBench, ScenarioOutcome};

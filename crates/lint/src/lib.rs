@@ -1,8 +1,8 @@
 //! noc-lint: a domain-specific static analyzer for this workspace.
 //!
 //! Every reproducibility gate the repo lives by — bit-identical replay
-//! across `ParPolicy`s, snapshot/restore equality, the `BENCH_*.json`
-//! trajectory — rests on invariants the compiler does not check: no wall
+//! across `ParPolicy`s, snapshot/restore equality, the pinned perfbench
+//! fingerprints — rests on invariants the compiler does not check: no wall
 //! clock in the simulation core, no iteration over unordered maps on
 //! stepping or reporting paths, no threading outside `noc_sim::par`,
 //! documented `unsafe`, justified panics, and a fabric registry whose four
@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(classify("crates/mesh/src/ccn.rs"), FileClass::Lib);
         assert_eq!(classify("src/lib.rs"), FileClass::Lib);
         assert_eq!(
-            classify("crates/bench/src/bin/scale_bench.rs"),
+            classify("crates/bench/src/bin/fabric_compare.rs"),
             FileClass::Tool
         );
         assert_eq!(classify("crates/lint/src/lexer.rs"), FileClass::Tool);

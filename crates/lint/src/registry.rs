@@ -10,16 +10,16 @@
 //!    `<variant>_fabric_conforms` test in `tests/fabric_conformance.rs`.
 //! 3. `fabric_bench`'s `summary()` — the per-kind match in
 //!    `crates/exp/src/fabric_bench.rs` must cover every variant.
-//! 4. The bench bins — `fabric_compare` and `scale_bench` must sweep
-//!    `FabricKind::ALL` (not a hand-maintained subset).
+//! 4. The sweep bin — `fabric_compare` must sweep `FabricKind::ALL` (not
+//!    a hand-maintained subset).
 //!
 //! The chiplet topology registry is a fifth drift surface with the same
 //! failure mode: the hierarchy is reachable from the deployment builder
-//! (`.chiplets(cw, ch)`), the conformance suite and both sweep bins, and
+//! (`.chiplets(cw, ch)`), the conformance suite and the sweep bin, and
 //! forgetting any one of them silently un-tests or un-benches the
 //! subsystem. The checker ties them together: the builder's `build` and
 //! `build_controlled` paths must both consult the chiplet grid, and the
-//! conformance suite and every sweep bin must instantiate `ChipletFabric`.
+//! conformance suite and the sweep bin must instantiate `ChipletFabric`.
 //!
 //! The deployment builder's knobs are the sixth surface, with the opposite
 //! failure mode: a knob that nothing sets. Every `pub fn` of
@@ -48,7 +48,7 @@ pub struct RegistrySpec {
     pub fabric_rs: PathBuf,
     pub conformance_rs: PathBuf,
     pub fabric_bench_rs: PathBuf,
-    pub sweep_bins: Vec<PathBuf>,
+    pub sweep_bin: PathBuf,
     /// The deployment builder — root of the chiplet topology registry.
     pub deployment_rs: PathBuf,
 }
@@ -59,10 +59,7 @@ impl Default for RegistrySpec {
             fabric_rs: "crates/mesh/src/fabric.rs".into(),
             conformance_rs: "tests/fabric_conformance.rs".into(),
             fabric_bench_rs: "crates/exp/src/fabric_bench.rs".into(),
-            sweep_bins: vec![
-                "crates/bench/src/bin/fabric_compare.rs".into(),
-                "crates/bench/src/bin/scale_bench.rs".into(),
-            ],
+            sweep_bin: "crates/bench/src/bin/fabric_compare.rs".into(),
             deployment_rs: "crates/mesh/src/deployment.rs".into(),
         }
     }
@@ -184,26 +181,26 @@ pub fn check_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) 
         )),
     }
 
-    // Sweep bins must iterate FabricKind::ALL, not a hand-written subset.
-    for bin in &spec.sweep_bins {
-        match read(bin) {
-            Some(src) => {
-                let toks = lex(&src).tokens;
-                let sweeps = toks.windows(3).any(|w| {
-                    w[0].tok.is_ident("FabricKind")
-                        && w[1].tok.is_punct("::")
-                        && w[2].tok.is_ident("ALL")
-                });
-                if !sweeps {
-                    out.push(drift(
-                        rel(bin),
-                        1,
-                        "bench bin does not sweep `FabricKind::ALL` — hand-maintained kind lists drift".into(),
-                    ));
-                }
+    // The sweep bin must iterate FabricKind::ALL, not a hand-written subset.
+    let bin = &spec.sweep_bin;
+    match read(bin) {
+        Some(src) => {
+            let toks = lex(&src).tokens;
+            let sweeps = toks.windows(3).any(|w| {
+                w[0].tok.is_ident("FabricKind")
+                    && w[1].tok.is_punct("::")
+                    && w[2].tok.is_ident("ALL")
+            });
+            if !sweeps {
+                out.push(drift(
+                    rel(bin),
+                    1,
+                    "bench bin does not sweep `FabricKind::ALL` — hand-maintained kind lists drift"
+                        .into(),
+                ));
             }
-            None => out.push(drift(rel(bin), 1, "sweep bin missing".into())),
         }
+        None => out.push(drift(rel(bin), 1, "sweep bin missing".into())),
     }
 
     check_chiplet_registry(root, spec, out);
@@ -262,7 +259,7 @@ fn check_builder_knobs(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>)
 }
 
 /// The chiplet topology registry: builder arm ↔ conformance instantiation
-/// ↔ both sweep bins. The deployment builder is the anchor — once it
+/// ↔ the sweep bin. The deployment builder is the anchor — once it
 /// exposes a `chiplets` knob, every `build*` path must consult the grid
 /// and the test/bench surfaces must cover `ChipletFabric`.
 fn check_chiplet_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) {
@@ -302,7 +299,7 @@ fn check_chiplet_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Findin
             ));
         }
     }
-    // Conformance and both sweep bins must instantiate the hierarchy.
+    // Conformance and the sweep bin must instantiate the hierarchy.
     let covers = |src: &str| {
         lex(src)
             .tokens
@@ -318,16 +315,13 @@ fn check_chiplet_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Findin
             ));
         }
     }
-    for bin in &spec.sweep_bins {
-        if let Some(src) = read(bin) {
-            if !covers(&src) {
-                out.push(drift(
-                    rel(bin),
-                    1,
-                    "bench bin does not cover `ChipletFabric` — the chiplet registry drifted"
-                        .into(),
-                ));
-            }
+    if let Some(src) = read(&spec.sweep_bin) {
+        if !covers(&src) {
+            out.push(drift(
+                rel(&spec.sweep_bin),
+                1,
+                "bench bin does not cover `ChipletFabric` — the chiplet registry drifted".into(),
+            ));
         }
     }
 }

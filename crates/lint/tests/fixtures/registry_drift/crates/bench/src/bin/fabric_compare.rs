@@ -1,5 +1,6 @@
 fn main() {
-    for kind in FabricKind::ALL {
+    // Hand-maintained kind list: exactly the drift the rule exists to stop.
+    for kind in [FabricKind::Circuit, FabricKind::Packet] {
         run(kind);
     }
 }

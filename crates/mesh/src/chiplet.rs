@@ -42,9 +42,8 @@ use crate::stream::{
 };
 use crate::topology::{Mesh, NodeId};
 
-/// Snapshot label for [`ChipletFabric`] — public so harnesses holding a
-/// `&dyn Fabric` can recognise and downcast a chiplet snapshot.
-pub const CHIPLET_BACKEND: &str = "chiplet-mesh";
+/// Backend label of [`ChipletFabric`] in [`FabricSnapshot`]s.
+pub(crate) const CHIPLET_BACKEND: &str = "chiplet-mesh";
 
 /// Knobs of the chiplet hierarchy: the circuit router of circuit and
 /// hybrid inner planes plus the NoI entry-router sizing. Packet,
@@ -361,11 +360,6 @@ impl ChipletFabric {
     /// Entry lanes per directed NoI link.
     pub fn entry_lanes(&self) -> usize {
         self.config.entry_lanes
-    }
-
-    /// Number of directed NoI links in the grid.
-    pub fn noi_links(&self) -> usize {
-        self.links.len()
     }
 
     /// Total cycles stream words spent queued at NoI entry routers.

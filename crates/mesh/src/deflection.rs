@@ -43,7 +43,7 @@ use crate::fabric::{
 use crate::session::SessionTable;
 use crate::stream::{AdmitError, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats};
 use crate::topology::{Mesh, NodeId};
-use noc_packet::deflection::{DeflectFlit, DeflectionParams, DeflectionSlab};
+use noc_packet::deflection::{DeflectFlit, DeflectionSlab};
 use noc_packet::routing::Coords;
 use noc_power::area::deflection_router_area;
 use noc_sim::activity::ComponentActivity;
@@ -78,7 +78,6 @@ struct Deflected {
 #[derive(Debug, Clone)]
 pub struct DeflectionFabric {
     mesh: Mesh,
-    params: DeflectionParams,
     policy: ParPolicy,
     routers: DeflectionSlab,
     /// Stream sessions, provision-time then runtime-admitted.
@@ -95,11 +94,11 @@ pub struct DeflectionFabric {
 }
 
 impl DeflectionFabric {
-    /// A fabric of `params`-configured deflection routers over `mesh`.
+    /// The paper-geometry fabric (ungated, pure bufferless) over `mesh`.
     ///
     /// # Panics
     /// Panics when the mesh exceeds the 16×16 packet coordinate space.
-    pub fn new(mesh: Mesh, params: DeflectionParams) -> DeflectionFabric {
+    pub fn paper(mesh: Mesh) -> DeflectionFabric {
         assert!(
             mesh.width <= 16 && mesh.height <= 16,
             "coords are 8-bit nibble pairs in the header halfword"
@@ -111,9 +110,8 @@ impl DeflectionFabric {
                 Coords::new(x as u8, y as u8)
             })
             .collect();
-        let routers = DeflectionSlab::new(params, &coords, (mesh.width, mesh.height));
+        let routers = DeflectionSlab::new(&coords, (mesh.width, mesh.height));
         DeflectionFabric {
-            params,
             policy: ParPolicy::Auto,
             routers,
             sessions: SessionTable::new(),
@@ -124,16 +122,6 @@ impl DeflectionFabric {
             words_delivered: 0,
             mesh,
         }
-    }
-
-    /// The paper-geometry fabric (ungated, pure bufferless) over `mesh`.
-    pub fn paper(mesh: Mesh) -> DeflectionFabric {
-        DeflectionFabric::new(mesh, DeflectionParams::paper())
-    }
-
-    /// The router parameters.
-    pub fn params(&self) -> &DeflectionParams {
-        &self.params
     }
 
     /// Choose serial or pooled router evaluation (default
@@ -409,8 +397,7 @@ impl Fabric for DeflectionFabric {
     }
 
     fn area(&self, model: &EnergyModel) -> SquareMicroMeters {
-        deflection_router_area(&self.params, model.estimator().tech()).total()
-            * self.mesh.nodes() as f64
+        deflection_router_area(model.estimator().tech()).total() * self.mesh.nodes() as f64
     }
 }
 

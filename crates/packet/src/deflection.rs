@@ -146,40 +146,6 @@ fn image_of(f: Option<&DeflectFlit>) -> u64 {
     f.map_or(0, DeflectFlit::wire_image)
 }
 
-/// Configuration of one deflection router (shared across a slab).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeflectionParams {
-    /// This router's mesh coordinates.
-    pub coords: Coords,
-}
-
-impl DeflectionParams {
-    /// The configuration compared against the paper's routers: pure
-    /// bufferless and ungated, at the origin.
-    pub fn paper() -> DeflectionParams {
-        DeflectionParams {
-            coords: Coords::new(0, 0),
-        }
-    }
-
-    /// Same parameters, placed at `coords`.
-    pub fn at(mut self, coords: Coords) -> DeflectionParams {
-        self.coords = coords;
-        self
-    }
-
-    /// Bits one flit occupies on a link or in an output register.
-    pub fn flit_bits(&self) -> u32 {
-        DEFLECT_LINK_BITS
-    }
-}
-
-impl Default for DeflectionParams {
-    fn default() -> Self {
-        DeflectionParams::paper()
-    }
-}
-
 /// The per-router activity ledgers, at the paper's Table 4 component
 /// granularity (no FIFO row, no flow-control row — deflection has neither).
 #[derive(Debug, Clone, Copy, Default)]
@@ -203,7 +169,6 @@ const IDLE_REG_CLOCK: u64 = P as u64 * DEFLECT_LINK_BITS as u64;
 /// the property the parallel stepping relies on.
 #[derive(Debug, Clone)]
 pub struct DeflectionSlab {
-    params: DeflectionParams,
     n: usize,
     /// Mesh coordinates per router.
     coords: Vec<Coords>,
@@ -301,19 +266,14 @@ unsafe impl Send for SlabPtrs {}
 unsafe impl Sync for SlabPtrs {}
 
 impl DeflectionSlab {
-    /// A slab of `coords.len()` idle routers sharing `params` on a
-    /// `dims = (width, height)` mesh (each router's own coordinates come
-    /// from `coords`, not `params.coords`; `dims` fixes the valid-port
-    /// masks so edge routers never deflect off-grid).
+    /// A slab of `coords.len()` idle routers, one at each of `coords`, on
+    /// a `dims = (width, height)` mesh (`dims` fixes the valid-port masks
+    /// so edge routers never deflect off-grid).
     ///
     /// # Panics
     /// Panics when `dims` leaves the 1..=16 per-side space the spare-nibble
     /// headers encode, or when a router's coordinates fall outside `dims`.
-    pub fn new(
-        params: DeflectionParams,
-        coords: &[Coords],
-        dims: (usize, usize),
-    ) -> DeflectionSlab {
+    pub fn new(coords: &[Coords], dims: (usize, usize)) -> DeflectionSlab {
         let (w, h) = dims;
         assert!(
             (1..=16).contains(&w) && (1..=16).contains(&h),
@@ -339,7 +299,6 @@ impl DeflectionSlab {
             }
         }
         DeflectionSlab {
-            params,
             n,
             coords: coords.to_vec(),
             valid,
@@ -370,11 +329,6 @@ impl DeflectionSlab {
     /// `true` when the slab holds no routers.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The shared router parameters.
-    pub fn params(&self) -> &DeflectionParams {
-        &self.params
     }
 
     #[inline]
@@ -754,17 +708,12 @@ pub struct DeflectionRouter {
 }
 
 impl DeflectionRouter {
-    /// A router at `params.coords` on a `dims = (width, height)` mesh
-    /// (the dimensions fix which ports exist).
-    pub fn new(params: DeflectionParams, dims: (usize, usize)) -> DeflectionRouter {
+    /// A router at `coords` on a `dims = (width, height)` mesh (the
+    /// dimensions fix which ports exist).
+    pub fn new(coords: Coords, dims: (usize, usize)) -> DeflectionRouter {
         DeflectionRouter {
-            slab: DeflectionSlab::new(params, &[params.coords], dims),
+            slab: DeflectionSlab::new(&[coords], dims),
         }
-    }
-
-    /// The router's parameters.
-    pub fn params(&self) -> &DeflectionParams {
-        self.slab.params()
     }
 
     /// Sample the flit arriving on `port` this cycle.
@@ -862,9 +811,9 @@ mod tests {
     }
 
     impl TinyMesh {
-        fn new(params: DeflectionParams, w: usize, h: usize) -> TinyMesh {
+        fn new(w: usize, h: usize) -> TinyMesh {
             TinyMesh {
-                slab: DeflectionSlab::new(params, &mesh_coords(w, h), (w, h)),
+                slab: DeflectionSlab::new(&mesh_coords(w, h), (w, h)),
                 w,
                 h,
             }
@@ -919,17 +868,8 @@ mod tests {
     }
 
     #[test]
-    fn params_defaults_and_knobs() {
-        let p = DeflectionParams::paper();
-        assert_eq!(p, DeflectionParams::default());
-        assert_eq!(p.coords, Coords::new(0, 0));
-        assert_eq!(p.flit_bits(), 64);
-        let q = p.at(Coords::new(3, 2));
-        assert_eq!(q.coords, Coords::new(3, 2));
-    }
-
-    #[test]
     fn wire_image_packs_spare_nibble_header() {
+        assert_eq!(DEFLECT_LINK_BITS, 64);
         let f = DeflectFlit::new(Coords::new(15, 15), 0xFF, 0x1234, 9, 3);
         let img = f.wire_image();
         assert_eq!(img & 1, 1, "valid bit");
@@ -948,7 +888,7 @@ mod tests {
 
     #[test]
     fn productive_route_delivers_without_deflection() {
-        let mut mesh = TinyMesh::new(DeflectionParams::paper(), 2, 1);
+        let mut mesh = TinyMesh::new(2, 1);
         assert!(mesh.slab.tile_can_inject(0));
         assert!(mesh.slab.tile_inject(0, flit(Coords::new(1, 0), 0)));
         mesh.step(ParPolicy::Sequential); // tile -> East register
@@ -966,7 +906,7 @@ mod tests {
         // Corner router (0,0) on a 2×2 mesh: valid ports East + South.
         // Two arrivals both want East; the older wins, the younger is
         // misrouted to South.
-        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (2, 2));
+        let mut r = DeflectionRouter::new(Coords::new(0, 0), (2, 2));
         let old = flit(Coords::new(1, 0), 0);
         let new = flit(Coords::new(1, 0), 5);
         r.set_link_input(PacketPort::East, new);
@@ -986,7 +926,7 @@ mod tests {
     #[test]
     fn corner_router_never_drives_invalid_ports() {
         // Storm a corner for several cycles: North/West must stay silent.
-        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (2, 2));
+        let mut r = DeflectionRouter::new(Coords::new(0, 0), (2, 2));
         for cycle in 0..6 {
             r.set_link_input(PacketPort::East, flit(Coords::new(0, 1), cycle));
             r.set_link_input(PacketPort::South, flit(Coords::new(0, 1), cycle + 100));
@@ -1003,7 +943,7 @@ mod tests {
     #[test]
     fn oldest_flit_ejects_first() {
         let here = Coords::new(0, 0);
-        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (2, 2));
+        let mut r = DeflectionRouter::new(Coords::new(0, 0), (2, 2));
         r.set_link_input(PacketPort::East, flit(here, 8));
         r.set_link_input(PacketPort::South, flit(here, 2));
         noc_sim::kernel::step(&mut r);
@@ -1024,7 +964,7 @@ mod tests {
 
     #[test]
     fn idle_fast_path_charges_match_full_path() {
-        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (3, 3));
+        let mut r = DeflectionRouter::new(Coords::new(0, 0), (3, 3));
         // Cycle 1 runs the full path (the slab starts unsettled); cycle 2
         // takes the fast path. Charges must match per class.
         noc_sim::kernel::step(&mut r);
@@ -1044,10 +984,9 @@ mod tests {
     fn slab_stride_matches_independent_routers() {
         // A 2×1 slab against two slab-of-one routers wired by hand: same
         // outputs and same ledgers, every cycle.
-        let params = DeflectionParams::paper();
-        let mut slab = TinyMesh::new(params, 2, 1);
-        let mut left = DeflectionRouter::new(params.at(Coords::new(0, 0)), (2, 1));
-        let mut right = DeflectionRouter::new(params.at(Coords::new(1, 0)), (2, 1));
+        let mut slab = TinyMesh::new(2, 1);
+        let mut left = DeflectionRouter::new(Coords::new(0, 0), (2, 1));
+        let mut right = DeflectionRouter::new(Coords::new(1, 0), (2, 1));
         for cycle in 0..30u64 {
             // Identical wiring: slab internally, singles by hand.
             slab.wire();
@@ -1084,7 +1023,7 @@ mod tests {
 
     #[test]
     fn quiet_links_flag_is_exact() {
-        let mut mesh = TinyMesh::new(DeflectionParams::paper(), 2, 1);
+        let mut mesh = TinyMesh::new(2, 1);
         assert!(mesh.slab.tile_inject(0, flit(Coords::new(1, 0), 0)));
         mesh.step(ParPolicy::Sequential);
         assert!(!mesh.slab.quiet_links(0), "driving East");
@@ -1110,7 +1049,7 @@ mod tests {
     #[test]
     fn par_policies_are_bit_identical() {
         let run = |policy: ParPolicy| {
-            let mut mesh = TinyMesh::new(DeflectionParams::paper(), 3, 3);
+            let mut mesh = TinyMesh::new(3, 3);
             let mut delivered = Vec::new();
             let mut seq = 0u64;
             for cycle in 0..80u64 {
@@ -1146,7 +1085,7 @@ mod tests {
 
     #[test]
     fn quiescence_tracks_inflight_flits() {
-        let mut mesh = TinyMesh::new(DeflectionParams::paper(), 2, 2);
+        let mut mesh = TinyMesh::new(2, 2);
         assert!((0..4).all(|r| mesh.slab.is_quiescent(r)));
         assert!(mesh.slab.tile_inject(0, flit(Coords::new(1, 1), 0)));
         assert!(!mesh.slab.is_quiescent(0));
@@ -1160,7 +1099,7 @@ mod tests {
 
     #[test]
     fn one_by_one_mesh_loops_back() {
-        let mut r = DeflectionRouter::new(DeflectionParams::paper(), (1, 1));
+        let mut r = DeflectionRouter::new(Coords::new(0, 0), (1, 1));
         assert!(r.tile_can_inject());
         assert!(r.tile_inject(flit(Coords::new(0, 0), 0)));
         noc_sim::kernel::step(&mut r);

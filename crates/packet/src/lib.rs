@@ -41,7 +41,7 @@ pub mod routing;
 pub mod vc;
 
 pub use arbiter::RoundRobin;
-pub use deflection::{DeflectFlit, DeflectionParams, DeflectionRouter, DeflectionSlab};
+pub use deflection::{DeflectFlit, DeflectionRouter, DeflectionSlab};
 pub use fifo::FlitFifo;
 pub use flit::{Flit, FlitKind, LinkWord, Packet};
 pub use params::PacketParams;

@@ -12,7 +12,6 @@
 use crate::gates;
 use crate::tech::Technology;
 use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentKind;
 use noc_sim::units::SquareMicroMeters;
@@ -127,27 +126,23 @@ pub fn packet_router_area(p: &PacketParams, tech: &Technology) -> AreaBreakdown 
 /// (a congested wide crossbar, flattened arbitration trees, routing
 /// miscellanea), only their sizes differ. There is no `Buffering` row:
 /// a bufferless router simply has no such component.
-pub fn deflection_router_area(p: &DeflectionParams, tech: &Technology) -> AreaBreakdown {
+pub fn deflection_router_area(tech: &Technology) -> AreaBreakdown {
     let components = vec![
         (
             ComponentKind::Crossbar,
-            area_of(
-                gates::deflection_crossbar(p),
-                OVERHEAD_PACKET_CROSSBAR,
-                tech,
-            ),
+            area_of(gates::deflection_crossbar(), OVERHEAD_PACKET_CROSSBAR, tech),
         ),
         (
             ComponentKind::Arbitration,
             area_of(
-                gates::deflection_arbitration(p),
+                gates::deflection_arbitration(),
                 OVERHEAD_PACKET_ARBITRATION,
                 tech,
             ),
         ),
         (
             ComponentKind::Misc,
-            area_of(gates::deflection_misc(p), OVERHEAD_PACKET_MISC, tech),
+            area_of(gates::deflection_misc(), OVERHEAD_PACKET_MISC, tech),
         ),
     ];
     AreaBreakdown { components }
@@ -269,7 +264,7 @@ mod tests {
         // buffered packet router.
         let t = tech();
         let c = circuit_router_area(&RouterParams::paper(), &t).total();
-        let d = deflection_router_area(&DeflectionParams::paper(), &t).total();
+        let d = deflection_router_area(&t).total();
         let p = packet_router_area(&PacketParams::paper(), &t).total();
         assert!(c < d, "circuit {c} < deflection {d}");
         assert!(d < p, "deflection {d} < packet {p}");
@@ -278,7 +273,7 @@ mod tests {
     #[test]
     fn deflection_router_has_no_buffering_row() {
         let t = tech();
-        let pure = deflection_router_area(&DeflectionParams::paper(), &t);
+        let pure = deflection_router_area(&t);
         assert_eq!(
             pure.component(ComponentKind::Buffering),
             SquareMicroMeters::ZERO

@@ -6,7 +6,7 @@
 //! Counts are NAND2-equivalents using the standard cell weights below.
 
 use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
+use noc_packet::deflection::DEFLECT_LINK_BITS;
 use noc_packet::params::PacketParams;
 
 /// NAND2-equivalents of one D flip-flop.
@@ -133,8 +133,8 @@ const DEFLECT_PORTS: f64 = 5.0;
 /// distribution. The registers are wider than the packet router's (the
 /// flit carries age/sequence sideband), but there are only five of them —
 /// no per-VC replication.
-pub fn deflection_crossbar(p: &DeflectionParams) -> f64 {
-    let out_bits = f64::from(p.flit_bits());
+pub fn deflection_crossbar() -> f64 {
+    let out_bits = f64::from(DEFLECT_LINK_BITS);
     let mux = DEFLECT_PORTS * out_bits * mux_tree(5);
     let out_regs = DEFLECT_PORTS * out_bits * DFF;
     let selects = DEFLECT_PORTS * 30.0;
@@ -145,7 +145,7 @@ pub fn deflection_crossbar(p: &DeflectionParams) -> f64 {
 /// age comparators over the up-to-five arrivals — plus per-port grant
 /// registers. No round-robin pointer state: priority is carried by the
 /// flits themselves.
-pub fn deflection_arbitration(_p: &DeflectionParams) -> f64 {
+pub fn deflection_arbitration() -> f64 {
     let arrivals = DEFLECT_PORTS;
     let age_bits = 14.0;
     let comparators = arrivals * (arrivals - 1.0) / 2.0 * age_bits * 1.5;
@@ -156,14 +156,14 @@ pub fn deflection_arbitration(_p: &DeflectionParams) -> f64 {
 /// Miscellaneous gates: per-arrival route computation (the header
 /// halfword is re-decoded every hop). No credit counters — deflection has
 /// no flow control at all.
-pub fn deflection_misc(_p: &DeflectionParams) -> f64 {
+pub fn deflection_misc() -> f64 {
     DEFLECT_PORTS * 30.0
 }
 
 /// Total deflection-router gates. There is no buffering term: deleting
 /// the FIFOs is the whole point of deflection.
-pub fn deflection_total(p: &DeflectionParams) -> f64 {
-    deflection_crossbar(p) + deflection_arbitration(p) + deflection_misc(p)
+pub fn deflection_total() -> f64 {
+    deflection_crossbar() + deflection_arbitration() + deflection_misc()
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ mod tests {
         // deflection < packet ordering is asserted at *area* level, where
         // the calibrated layout overheads apply — the circuit router's
         // serdes converters are gate-heavy but layout-cheap.)
-        let d = deflection_total(&DeflectionParams::paper());
+        let d = deflection_total();
         let k = packet_total(&PacketParams::paper());
         assert!(d < k, "deflection {d} < packet {k}");
         assert!(

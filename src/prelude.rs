@@ -36,7 +36,6 @@ pub use noc_mesh::stream::{
 };
 pub use noc_mesh::tile::TileKind;
 pub use noc_mesh::topology::{Mesh, NodeId};
-pub use noc_packet::deflection::DeflectionParams;
 pub use noc_packet::params::PacketParams;
 pub use noc_packet::router::PacketRouter;
 pub use noc_power::estimator::{PowerEstimator, PowerReport};

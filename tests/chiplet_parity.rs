@@ -43,7 +43,7 @@ fn flat_fabric(kind: FabricKind, mesh: Mesh) -> Box<dyn Fabric> {
     match kind {
         FabricKind::Circuit => Box::new(Soc::new(mesh, RouterParams::paper())),
         FabricKind::Hybrid => Box::new(HybridFabric::new(mesh, RouterParams::paper())),
-        FabricKind::Deflection => Box::new(DeflectionFabric::new(mesh, DeflectionParams::paper())),
+        FabricKind::Deflection => Box::new(DeflectionFabric::paper(mesh)),
         FabricKind::Packet => Box::new(PacketFabric::new(
             mesh,
             PacketParams::paper(),

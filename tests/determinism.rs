@@ -299,17 +299,24 @@ fn mapping_is_deterministic() {
 /// A fleet restored from a mid-run snapshot must reproduce the original
 /// run's aggregate SLO report bit-for-bit — checkpoints are invisible in
 /// results, across mixed backends, phase-shifting workloads and the
-/// fleet-level worker-pool fan-out.
+/// fleet-level worker-pool fan-out. Besides six small pipelines, the
+/// census carries the oversubscribed 3×1 line at 25 MHz on the hybrid and
+/// the deflection fabric (its light stream spills onto the BE plane, and
+/// its circuits are configured over the BE network, so they wait a §5.1
+/// admission latency) and a six-stage pipeline whose placement crosses
+/// the borders of a 2×2 chiplet grid. So the report's GT p95, BE p95 and
+/// admission latency are all measured, not vacuous.
 #[test]
 fn restored_fleet_replay_reproduces_the_slo_report() {
+    use noc_apps::synthetic::{oversubscribed_line, streaming_pipeline};
     use noc_apps::workload::PhaseProfile;
     use noc_exp::fleet::{Fleet, TenantSpec};
 
-    let specs: Vec<TenantSpec> = (0..6)
+    let mut specs: Vec<TenantSpec> = (0..6)
         .map(|i| {
             TenantSpec::new(
                 format!("det-{i}"),
-                noc_apps::synthetic::streaming_pipeline(2 + i % 2, Bandwidth(50.0)),
+                streaming_pipeline(2 + i % 2, Bandwidth(50.0)),
             )
             .mesh(3, 3)
             .seed(0xD1CE ^ i as u64)
@@ -327,6 +334,32 @@ fn restored_fleet_replay_reproduces_the_slo_report() {
             })
         })
         .collect();
+    let lane = Ccn::new(Mesh::new(3, 1), RouterParams::paper(), MegaHertz(25.0)).lane_capacity();
+    for kind in [FabricKind::Hybrid, FabricKind::Deflection] {
+        specs.push(
+            TenantSpec::new(
+                format!("det-oversubscribed-{kind}"),
+                oversubscribed_line(lane),
+            )
+            .mesh(3, 1)
+            .clock(MegaHertz(25.0))
+            .seed(0xD1CE ^ 0x0F)
+            .fabric(kind)
+            .spill(true)
+            .provisioning(ProvisionMode::BeDelivered),
+        );
+    }
+    specs.push(
+        TenantSpec::new("det-chiplet", streaming_pipeline(6, Bandwidth(60.0)))
+            .mesh(4, 4)
+            .seed(0xD1CE ^ 0x10)
+            .fabric(FabricKind::Hybrid)
+            .chiplets(2, 2)
+            .workload(PhaseProfile::DiurnalRamp {
+                period: 512,
+                floor: 0.3,
+            }),
+    );
     let build = || {
         let mut fleet = Fleet::new(64);
         for spec in &specs {
@@ -343,6 +376,18 @@ fn restored_fleet_replay_reproduces_the_slo_report() {
     assert!(original.retire_all(200), "the fleet settles to quiescence");
     let report = original.slo_report();
     assert!(report.loss_free(), "zero payload loss: {report:?}");
+    assert!(
+        report.worst_gt_p95.is_some(),
+        "GT p95 unmeasured: {report:?}"
+    );
+    assert!(
+        report.worst_be_p95.is_some(),
+        "BE p95 unmeasured: {report:?}"
+    );
+    assert!(
+        report.max_admission_latency > 0,
+        "no BE-delivered cold start charged an admission latency: {report:?}"
+    );
 
     // A fresh fleet from the same specs, resumed from the checkpoint.
     let mut replay = build();
