@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use noc_apps::traffic::DataPattern;
 use noc_core::lane::Port;
 use noc_core::params::RouterParams;
+use noc_mesh::fabric::Fabric;
 use noc_mesh::soc::Soc;
 use noc_mesh::topology::Mesh;
 use noc_sim::par::ParPolicy;

@@ -239,7 +239,12 @@ impl Tenant {
     pub fn slo(&self) -> TenantSlo {
         let stats = self.dep.fabric().stream_stats();
         let gt_p95 = worst_p95(&stats, StreamPlane::Circuit);
-        let be_p95 = best_p95(&stats, StreamPlane::Spilled);
+        // Best-effort service is every non-circuit stream: spilled ones
+        // on a hybrid and every stream of a packet or deflection tenant.
+        let be_p95 = [StreamPlane::Packet, StreamPlane::Spilled]
+            .into_iter()
+            .filter_map(|plane| best_p95(&stats, plane))
+            .min();
         TenantSlo {
             name: self.name.clone(),
             state: self.state,
@@ -620,7 +625,8 @@ pub struct TenantSlo {
     pub overflows: u64,
     /// Worst p95 service latency among the tenant's circuit (GT) streams.
     pub gt_p95: Option<u64>,
-    /// Best p95 service latency among the tenant's spilled (BE) streams.
+    /// Best p95 service latency among the tenant's best-effort streams:
+    /// every stream not on a circuit (spilled, packet or deflection).
     pub be_p95: Option<u64>,
     /// `be_p95 − gt_p95`: the guaranteed-throughput service gap — how
     /// many cycles of p95 latency a circuit buys over the packet plane.

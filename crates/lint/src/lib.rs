@@ -147,25 +147,17 @@ pub fn run_workspace(cfg: &Config) -> Report {
     report
 }
 
-/// Manifest half of D4: `unsafe_op_in_unsafe_fn` must be denied
+/// Lints the root manifest must deny under `[workspace.lints.rust]`: every
+/// `unsafe fn` body acknowledges each unsafe operation, and no module but
+/// the one that allows it (`noc_sim::par`) writes `unsafe` at all.
+const DENIED_LINTS: [&str; 2] = ["unsafe_op_in_unsafe_fn", "unsafe_code"];
+
+/// Manifest half of D4: every [`DENIED_LINTS`] entry must be denied
 /// workspace-wide, and every workspace crate must opt into the shared
-/// lint table so the deny actually reaches it.
+/// lint table so the denies actually reach it.
 fn check_manifests(root: &Path, out: &mut Vec<Finding>) {
     match std::fs::read_to_string(root.join("Cargo.toml")) {
-        Ok(src) => {
-            let denied = src.lines().any(|l| {
-                let l = l.trim();
-                l.starts_with("unsafe_op_in_unsafe_fn") && l.contains("deny")
-            });
-            if !denied {
-                out.push(Finding {
-                    rule: "unsafe-discipline",
-                    file: "Cargo.toml".into(),
-                    line: 1,
-                    message: "workspace does not deny `unsafe_op_in_unsafe_fn` — add it under [workspace.lints.rust]".into(),
-                });
-            }
-        }
+        Ok(src) => root_manifest_findings(&src, out),
         Err(_) => out.push(Finding {
             rule: "unsafe-discipline",
             file: "Cargo.toml".into(),
@@ -208,7 +200,28 @@ fn check_manifests(root: &Path, out: &mut Vec<Finding>) {
                 rule: "unsafe-discipline",
                 file: rel,
                 line: 1,
-                message: "crate does not inherit workspace lints — add `[lints]\\nworkspace = true` so the unsafe_op_in_unsafe_fn deny applies".into(),
+                message: "crate does not inherit workspace lints — add `[lints]\\nworkspace = true` so the workspace's unsafe denies apply".into(),
+            });
+        }
+    }
+}
+
+/// One finding per [`DENIED_LINTS`] entry the root manifest `src` does
+/// not set to `deny`.
+fn root_manifest_findings(src: &str, out: &mut Vec<Finding>) {
+    for lint in DENIED_LINTS {
+        let denied = src.lines().any(|l| {
+            l.split_once('=')
+                .is_some_and(|(key, level)| key.trim() == lint && level.contains("deny"))
+        });
+        if !denied {
+            out.push(Finding {
+                rule: "unsafe-discipline",
+                file: "Cargo.toml".into(),
+                line: 1,
+                message: format!(
+                    "workspace does not deny `{lint}` — add it under [workspace.lints.rust]"
+                ),
             });
         }
     }
@@ -266,6 +279,27 @@ mod tests {
             FileClass::Skip
         );
         assert_eq!(classify("target/debug/build/x.rs"), FileClass::Skip);
+    }
+
+    #[test]
+    fn root_manifest_must_deny_both_unsafe_lints() {
+        let both =
+            "[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\nunsafe_code = \"deny\"\n";
+        let mut out = Vec::new();
+        root_manifest_findings(both, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+
+        let without = "[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n";
+        root_manifest_findings(without, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "unsafe-discipline");
+        assert!(out[0].message.contains("`unsafe_code`"), "{out:?}");
+
+        out.clear();
+        let warned =
+            "[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\nunsafe_code = \"warn\"\n";
+        root_manifest_findings(warned, &mut out);
+        assert_eq!(out.len(), 1, "a warn level is not a deny: {out:?}");
     }
 
     #[test]

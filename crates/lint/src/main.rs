@@ -102,7 +102,8 @@ RULES:
     wall-clock         no Instant/SystemTime in deterministic crates
     unordered-iter     no HashMap/HashSet iteration outside sorted adapters
     thread-discipline  no thread::spawn/Mutex/Condvar outside noc_sim::par
-    unsafe-discipline  every unsafe site carries a SAFETY: comment
+    unsafe-discipline  every unsafe site carries a SAFETY: comment; the root
+                       manifest denies unsafe_code and unsafe_op_in_unsafe_fn
     unwrap-justify     unwrap()/computed expect() need a justification
     registry-drift     FabricKind registry surfaces must stay in sync; builder
                        knobs need a library or tool caller

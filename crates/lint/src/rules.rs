@@ -11,7 +11,7 @@
 //! | `wall-clock` | no `Instant`/`SystemTime` in deterministic crates |
 //! | `unordered-iter` | no iteration over `HashMap`/`HashSet` |
 //! | `thread-discipline` | no `thread::spawn`/`Mutex`/`Condvar` outside `noc_sim::par` |
-//! | `unsafe-discipline` | every `unsafe` site carries a `SAFETY:` comment |
+//! | `unsafe-discipline` | every `unsafe` site carries a `SAFETY:` comment (the manifest half, in `lib.rs`, requires the workspace to deny `unsafe_code` and `unsafe_op_in_unsafe_fn`) |
 //! | `unwrap-justify` | `unwrap()`/computed `expect()` need a pragma; a literal `expect("…")` message is its own justification |
 
 use crate::lexer::{Tok, Token};

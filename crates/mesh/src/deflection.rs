@@ -2,8 +2,8 @@
 //!
 //! Where the packet baseline buffers contention in VC FIFOs and the
 //! circuit fabric avoids it by construction, [`DeflectionFabric`] absorbs
-//! it *spatially*: every router is a mesh of single-flit output registers
-//! ([`noc_packet::deflection::DeflectionSlab`]), and a flit that loses
+//! it *spatially*: every router is a set of single-flit output registers
+//! ([`noc_packet::deflection::DeflectionRouter`]), and a flit that loses
 //! oldest-first arbitration for its productive port is misrouted — still
 //! moving, never stored. The energy consequence is the point: no FIFO
 //! read/write terms anywhere, at the price of per-deflection link and
@@ -43,11 +43,11 @@ use crate::fabric::{
 use crate::session::SessionTable;
 use crate::stream::{AdmitError, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats};
 use crate::topology::{Mesh, NodeId};
-use noc_packet::deflection::{DeflectFlit, DeflectionSlab};
+use noc_packet::deflection::{DeflectFlit, DeflectionRouter};
 use noc_packet::routing::Coords;
 use noc_power::area::deflection_router_area;
 use noc_sim::activity::ComponentActivity;
-use noc_sim::par::ParPolicy;
+use noc_sim::par::{par_step, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 use std::collections::{BTreeMap, VecDeque};
@@ -72,14 +72,14 @@ struct Deflected {
 }
 
 /// The bufferless deflection mesh: one
-/// [`noc_packet::deflection::DeflectionSlab`] router per node, age-ordered
+/// [`noc_packet::deflection::DeflectionRouter`] per node, age-ordered
 /// arbitration instead of buffering, and the same stream-addressed
 /// word-level interface as every other backend.
 #[derive(Debug, Clone)]
 pub struct DeflectionFabric {
     mesh: Mesh,
     policy: ParPolicy,
-    routers: DeflectionSlab,
+    routers: Vec<DeflectionRouter>,
     /// Stream sessions, provision-time then runtime-admitted.
     sessions: SessionTable<Deflected>,
     /// Per node: flits awaiting injection at the tile port.
@@ -103,14 +103,13 @@ impl DeflectionFabric {
             mesh.width <= 16 && mesh.height <= 16,
             "coords are 8-bit nibble pairs in the header halfword"
         );
-        let coords: Vec<Coords> = mesh
+        let routers = mesh
             .iter()
             .map(|n| {
                 let (x, y) = mesh.coords(n);
-                Coords::new(x as u8, y as u8)
+                DeflectionRouter::new(Coords::new(x as u8, y as u8), (mesh.width, mesh.height))
             })
             .collect();
-        let routers = DeflectionSlab::new(&coords, (mesh.width, mesh.height));
         DeflectionFabric {
             policy: ParPolicy::Auto,
             routers,
@@ -124,12 +123,6 @@ impl DeflectionFabric {
         }
     }
 
-    /// Choose serial or pooled router evaluation (default
-    /// [`ParPolicy::Auto`]). Bit-identical results under every policy.
-    pub fn set_parallelism(&mut self, policy: ParPolicy) {
-        self.policy = policy;
-    }
-
     /// Total flits staged at tile inputs but not yet injected.
     pub fn ingress_backlog(&self) -> usize {
         self.ingress.iter().map(|q| q.len()).sum()
@@ -138,9 +131,7 @@ impl DeflectionFabric {
     /// Total misroutes suffered network-wide since construction — the
     /// contention signal the energy model charges re-traversal for.
     pub fn total_deflections(&self) -> u64 {
-        (0..self.routers.len())
-            .map(|r| self.routers.deflections(r))
-            .sum()
+        self.routers.iter().map(DeflectionRouter::deflections).sum()
     }
 
     /// Register one stream session.
@@ -297,8 +288,10 @@ impl Fabric for DeflectionFabric {
         Ok(id)
     }
 
+    /// Serial or pooled router evaluation (default [`ParPolicy::Auto`]).
+    /// Bit-identical results under every policy.
     fn set_parallelism(&mut self, policy: ParPolicy) {
-        DeflectionFabric::set_parallelism(self, policy)
+        self.policy = policy;
     }
 
     /// One full fabric cycle: wire the links, inject from the ingress
@@ -311,12 +304,12 @@ impl Fabric for DeflectionFabric {
         for node in self.mesh.iter() {
             for port in noc_core::lane::Port::NEIGHBOURS {
                 if let Some(nb) = self.mesh.neighbour(node, port) {
-                    if self.routers.quiet_links(nb.0) {
+                    if self.routers[nb.0].quiet_links() {
                         continue;
                     }
                     let opp = pport(port.opposite().expect("neighbour port"));
-                    if let Some(flit) = self.routers.link_output(nb.0, opp) {
-                        self.routers.set_link_input(node.0, pport(port), flit);
+                    if let Some(flit) = self.routers[nb.0].link_output(opp) {
+                        self.routers[node.0].set_link_input(pport(port), flit);
                     }
                 }
             }
@@ -328,8 +321,9 @@ impl Fabric for DeflectionFabric {
         //    backpressure deflection has).
         for node in self.mesh.iter() {
             if let Some(&flit) = self.ingress[node.0].front() {
-                if self.routers.tile_can_inject(node.0) {
-                    let accepted = self.routers.tile_inject(node.0, flit);
+                let router = &mut self.routers[node.0];
+                if router.tile_can_inject() {
+                    let accepted = router.tile_inject(flit);
                     debug_assert!(accepted, "tile_can_inject admitted this flit");
                     self.ingress[node.0].pop_front();
                 }
@@ -338,7 +332,7 @@ impl Fabric for DeflectionFabric {
 
         // 3. Clock every router in one dispatch, optionally fanned out
         //    over the persistent worker pool.
-        self.routers.par_step(self.policy);
+        par_step(&mut self.routers, self.policy);
         self.now += 1;
 
         // 4. Tile deliveries. Deflection may reorder a stream's flits, so
@@ -350,7 +344,7 @@ impl Fabric for DeflectionFabric {
         //    usable earlier).
         let now = self.now.0;
         for node in self.mesh.iter() {
-            while let Some(flit) = self.routers.tile_recv(node.0) {
+            while let Some(flit) = self.routers[node.0].tile_recv() {
                 self.words_delivered += 1;
                 let si = self
                     .sessions
@@ -382,18 +376,22 @@ impl Fabric for DeflectionFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
+        merge_by_kind(self.routers.iter().flat_map(DeflectionRouter::activity))
     }
 
     fn clear_activity(&mut self) {
-        self.routers.clear_activity();
+        for r in &mut self.routers {
+            r.clear_activity();
+        }
     }
 
     fn is_quiescent(&self) -> bool {
         self.sessions.pending_drains() == 0
             && self.ingress.iter().all(|q| q.is_empty())
-            && (0..self.routers.len())
-                .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)
+            && self
+                .routers
+                .iter()
+                .all(|r| r.is_quiescent() && r.tile_rx_pending() == 0)
     }
 
     fn area(&self, model: &EnergyModel) -> SquareMicroMeters {

@@ -34,13 +34,13 @@ use crate::topology::{Mesh, NodeId};
 use noc_core::error::ConfigError;
 use noc_packet::flit::{Flit, FlitKind};
 use noc_packet::params::{PacketParams, PacketPort};
-use noc_packet::router::RouterSlab;
+use noc_packet::router::PacketRouter;
 use noc_packet::routing::Coords;
 use noc_packet::vc::VcId;
 use noc_power::area::packet_router_area;
 use noc_power::estimator::{PowerEstimator, PowerReport};
 use noc_sim::activity::ComponentActivity;
-use noc_sim::par::ParPolicy;
+use noc_sim::par::{par_step, ParPolicy};
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{FemtoJoules, MegaHertz, SquareMicroMeters};
 use std::any::Any;
@@ -675,7 +675,7 @@ pub struct PacketFabric {
     params: PacketParams,
     packet_words: usize,
     policy: ParPolicy,
-    routers: RouterSlab,
+    routers: Vec<PacketRouter>,
     /// Stream sessions, provision-time then runtime-admitted.
     sessions: SessionTable<Wormhole>,
     /// Per node, per VC: stream tag of the wormhole being delivered.
@@ -722,14 +722,13 @@ impl PacketFabric {
             mesh.width <= 16 && mesh.height <= 16,
             "coords are 8-bit nibble pairs in the head flit"
         );
-        let coords: Vec<Coords> = mesh
+        let routers = mesh
             .iter()
             .map(|n| {
                 let (x, y) = mesh.coords(n);
-                Coords::new(x as u8, y as u8)
+                PacketRouter::new(params.at(Coords::new(x as u8, y as u8)))
             })
             .collect();
-        let routers = RouterSlab::new(params, &coords);
         let vcs = params.vcs;
         PacketFabric {
             params,
@@ -750,13 +749,6 @@ impl PacketFabric {
     /// The router parameters.
     pub fn params(&self) -> &PacketParams {
         &self.params
-    }
-
-    /// Choose serial or pooled router evaluation (default
-    /// [`ParPolicy::Auto`]). The two-phase contract makes the choice
-    /// invisible to results; see [`noc_sim::par`].
-    pub fn set_parallelism(&mut self, policy: ParPolicy) {
-        self.policy = policy;
     }
 
     /// Total flits queued at tile inputs but not yet injected.
@@ -950,8 +942,11 @@ impl Fabric for PacketFabric {
         }
     }
 
+    /// Serial or pooled router evaluation (default [`ParPolicy::Auto`]).
+    /// The two-phase contract makes the choice invisible to results; see
+    /// [`noc_sim::par`].
     fn set_parallelism(&mut self, policy: ParPolicy) {
-        PacketFabric::set_parallelism(self, policy)
+        self.policy = policy;
     }
 
     /// One full fabric cycle: wire links and credits, inject from the
@@ -964,17 +959,17 @@ impl Fabric for PacketFabric {
         for node in self.mesh.iter() {
             for port in noc_core::lane::Port::NEIGHBOURS {
                 if let Some(nb) = self.mesh.neighbour(node, port) {
-                    if self.routers.quiet_links(nb.0) {
+                    if self.routers[nb.0].quiet_links() {
                         continue;
                     }
                     let opp = pport(port.opposite().expect("neighbour port"));
                     let p = pport(port);
-                    if let Some((vc, flit)) = self.routers.link_output(nb.0, opp).flit {
-                        self.routers.set_link_input(node.0, p, VcId(vc), flit);
+                    if let Some((vc, flit)) = self.routers[nb.0].link_output(opp).flit {
+                        self.routers[node.0].set_link_input(p, VcId(vc), flit);
                     }
                     for vc in 0..self.params.vcs as u8 {
-                        if self.routers.credit_output(nb.0, opp, VcId(vc)) {
-                            self.routers.set_credit_input(node.0, p, VcId(vc), true);
+                        if self.routers[nb.0].credit_output(opp, VcId(vc)) {
+                            self.routers[node.0].set_credit_input(p, VcId(vc), true);
                         }
                     }
                 }
@@ -985,7 +980,7 @@ impl Fabric for PacketFabric {
         //    packets stay on one VC; heads only switch between packets).
         for node in self.mesh.iter() {
             if let Some(&flit) = self.ingress[node.0].front() {
-                if self.routers.tile_inject(node.0, VcId(0), flit) {
+                if self.routers[node.0].tile_inject(VcId(0), flit) {
                     self.ingress[node.0].pop_front();
                 }
             }
@@ -994,7 +989,7 @@ impl Fabric for PacketFabric {
         // 3. Clock every router in one dispatch, optionally fanned out over
         //    the persistent worker pool: inputs were sampled from latched
         //    outputs in phase 1, so router order is free.
-        self.routers.par_step(self.policy);
+        par_step(&mut self.routers, self.policy);
         self.now += 1;
 
         // 4. Tile deliveries: the head names the wormhole's stream (its
@@ -1003,7 +998,7 @@ impl Fabric for PacketFabric {
         //    on different VCs interleave at the tile; the per-VC slot
         //    keeps their attribution separate.
         for node in self.mesh.iter() {
-            while let Some((vc, flit)) = self.routers.tile_recv(node.0) {
+            while let Some((vc, flit)) = self.routers[node.0].tile_recv() {
                 match flit.kind {
                     FlitKind::Head => {
                         self.rx_stream[node.0][vc.index()] = flit.stream_tag().map(u32::from);
@@ -1040,19 +1035,23 @@ impl Fabric for PacketFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
+        merge_by_kind(self.routers.iter().flat_map(PacketRouter::activity))
     }
 
     fn clear_activity(&mut self) {
-        self.routers.clear_activity();
+        for r in &mut self.routers {
+            r.clear_activity();
+        }
     }
 
     fn is_quiescent(&self) -> bool {
         self.sessions.pending_drains() == 0
             && self.sessions.iter().all(|s| s.x.open.is_empty())
             && self.ingress.iter().all(|q| q.is_empty())
-            && (0..self.routers.len())
-                .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)
+            && self
+                .routers
+                .iter()
+                .all(|r| r.is_quiescent() && r.tile_rx_pending() == 0)
     }
 
     fn area(&self, model: &EnergyModel) -> SquareMicroMeters {

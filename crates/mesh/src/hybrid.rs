@@ -241,23 +241,6 @@ impl HybridFabric {
         crate::stream::gt_no_worse_than_be(&Fabric::stream_stats(self))
     }
 
-    /// Choose serial or pooled stepping (default [`ParPolicy::Auto`]).
-    ///
-    /// When the policy parallelises a fabric of this size, the two planes
-    /// step **concurrently** — they share no state until `drain`/
-    /// `activity` merge their results, so a hybrid cycle is a two-sided
-    /// fork-join ([`noc_sim::par::par_join`]). The work-stealing pool
-    /// makes the fork composable: each plane's own router fan-out runs
-    /// *inside* its side of the fork, and idle lanes steal blocks across
-    /// the plane boundary instead of waiting at a barrier — no lane clamp,
-    /// no plane-vs-router trade-off. The policy is propagated to both
-    /// planes; results are bit-identical on every path.
-    pub fn set_parallelism(&mut self, policy: ParPolicy) {
-        self.policy = policy;
-        self.circuit.set_parallelism(policy);
-        self.spill.set_parallelism(policy);
-    }
-
     fn entry(&self, stream: StreamId) -> HybridHandle {
         *self
             .handles
@@ -285,7 +268,7 @@ impl Fabric for HybridFabric {
     }
 
     fn mesh(&self) -> &Mesh {
-        Soc::mesh(&self.circuit)
+        self.circuit.mesh()
     }
 
     fn now(&self) -> Cycle {
@@ -313,8 +296,7 @@ impl Fabric for HybridFabric {
     ) -> Result<Vec<StreamId>, ProvisionError> {
         // Circuit plane: the admitted routes (ignores `spilled`; ids come
         // out in the mapping's numbering).
-        let circuit_ids =
-            Soc::provision_with(&mut self.circuit, mapping, mode).map_err(ProvisionError::from)?;
+        let circuit_ids = self.circuit.provision_with(mapping, mode)?;
         // Packet plane: only the spilled demands — the admitted streams
         // are physically separated on circuit lanes and never touch it.
         // Its local numbering restarts at 0; the table maps global ids.
@@ -458,8 +440,21 @@ impl Fabric for HybridFabric {
         self.spill.finish_injection();
     }
 
+    /// Choose serial or pooled stepping (default [`ParPolicy::Auto`]).
+    ///
+    /// When the policy parallelises a fabric of this size, the two planes
+    /// step **concurrently** — they share no state until `drain`/
+    /// `activity` merge their results, so a hybrid cycle is a two-sided
+    /// fork-join ([`noc_sim::par::par_join`]). The work-stealing pool
+    /// makes the fork composable: each plane's own router fan-out runs
+    /// *inside* its side of the fork, and idle lanes steal blocks across
+    /// the plane boundary instead of waiting at a barrier — no lane clamp,
+    /// no plane-vs-router trade-off. The policy is propagated to both
+    /// planes; results are bit-identical on every path.
     fn set_parallelism(&mut self, policy: ParPolicy) {
-        HybridFabric::set_parallelism(self, policy)
+        self.policy = policy;
+        self.circuit.set_parallelism(policy);
+        self.spill.set_parallelism(policy);
     }
 
     fn step(&mut self) {
@@ -469,7 +464,7 @@ impl Fabric for HybridFabric {
         // the fork composes with full-width router fan-out instead of
         // clamping it (par_join itself degrades to inline calls under a
         // sequential or single-lane policy without waking the pool).
-        let nodes = Soc::mesh(&self.circuit).nodes();
+        let nodes = self.circuit.mesh().nodes();
         let circuit = &mut self.circuit;
         let spill = &mut self.spill;
         par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());

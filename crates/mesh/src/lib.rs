@@ -46,7 +46,7 @@
 //! * [`deflection`] — **bufferless deflection routing**: the fourth
 //!   [`fabric::Fabric`] backend. [`deflection::DeflectionFabric`] is a
 //!   mesh of single-flit-register routers
-//!   ([`noc_packet::deflection::DeflectionSlab`]) with age-ordered
+//!   ([`noc_packet::deflection::DeflectionRouter`]) with age-ordered
 //!   arbitration — no FIFOs anywhere, contention absorbed as misroutes —
 //!   sitting between the hybrid and the buffered packet baseline on the
 //!   energy frontier.

@@ -30,7 +30,6 @@ use crate::stream::{
 };
 use crate::tile::{default_tile_kinds, TileKind, TileSlab};
 use crate::topology::{Mesh, NodeId};
-use noc_core::error::ConfigError;
 use noc_core::lane::Port;
 use noc_core::params::RouterParams;
 use noc_core::phit::Phit;
@@ -38,7 +37,7 @@ use noc_core::router::CircuitRouter;
 use noc_power::area::circuit_router_area;
 use noc_sim::activity::{ActivityLedger, ComponentActivity};
 use noc_sim::par::{par_step, ParPolicy};
-use noc_sim::time::{Cycle, CycleCount};
+use noc_sim::time::Cycle;
 use noc_sim::units::{Bandwidth, SquareMicroMeters};
 use std::collections::VecDeque;
 
@@ -213,102 +212,6 @@ impl Soc {
         }
     }
 
-    /// Configure every circuit of `mapping` directly into the routers and
-    /// set up the per-stream session table the [`crate::fabric::Fabric`]
-    /// API drives: one [`StreamId`] per NoC-crossing route (the mapping's
-    /// [`Mapping::streams`] numbering), each with its provisioned TX/RX
-    /// lanes, word queues and latency telemetry; destination tiles get
-    /// per-lane payload capture enabled so `drain_stream` can return
-    /// delivered words stream-exactly.
-    ///
-    /// Production configuration delivery rides the BE network
-    /// ([`crate::be`]); this is the instantaneous path, equivalent in
-    /// final router state (`be_configuration_matches_direct_configuration`
-    /// in the end-to-end tests). Circuits admitted later at runtime
-    /// ([`Fabric::admit`]) *do* pay BE delivery latency.
-    ///
-    /// [`Mapping::spilled`] entries are *not* served: a circuit-only SoC
-    /// has no best-effort plane to put them on (their [`StreamId`]s stay
-    /// reserved so handles agree across backends). Deploy spill-admitted
-    /// mappings on [`crate::hybrid::HybridFabric`] (or the packet fabric)
-    /// when every stream must be delivered.
-    ///
-    /// Returns the handles of the streams this fabric serves.
-    pub fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ConfigError> {
-        self.provision_with(mapping, ProvisionMode::Instant)
-    }
-
-    /// [`Soc::provision`] with an explicit [`ProvisionMode`].
-    ///
-    /// Under [`ProvisionMode::BeDelivered`] no configuration word touches
-    /// a router here: each stream's setup words are batched per router
-    /// ([`EdgeRoute::config_words_by_node`]) and sent over the BE network
-    /// from the CCN's corner node — exactly the runtime-admission path
-    /// ([`Fabric::admit`]) — so the cold-start delivery wait (paper
-    /// §5.1 budgets) is charged to each stream's `reconfig_cycles` and,
-    /// through `ready_at`, to the measured latency of every word injected
-    /// before the circuit materialises. Streams are sent in [`StreamId`]
-    /// order, so BE-link contention (and therefore each stream's charge)
-    /// is deterministic.
-    pub fn provision_with(
-        &mut self,
-        mapping: &Mapping,
-        mode: ProvisionMode,
-    ) -> Result<Vec<StreamId>, ConfigError> {
-        let params = self.params;
-        // Idempotency (the Fabric contract): a re-provision replaces the
-        // previous plan entirely — tear down every configured lane and
-        // stop capturing at the old destinations before applying the new
-        // mapping, so no stale circuit keeps forwarding or capturing.
-        if self.plan.is_some() {
-            for node in self.mesh.iter() {
-                for port in Port::ALL {
-                    for lane in 0..params.lanes_per_port {
-                        self.routers[node.0].deactivate_lane(port, lane)?;
-                    }
-                }
-                for lane in 0..params.lanes_per_port {
-                    // A replaced plan's mid-window credit counts and ack
-                    // phases must not leak into the new plan's circuits.
-                    self.routers[node.0].reset_tile_lane_flow(lane);
-                }
-                self.tiles.set_capture(node.0, false);
-            }
-        }
-        if mode == ProvisionMode::Instant {
-            for (node, word) in mapping.config_words(&params) {
-                self.routers[node.0].apply_config_word(word)?;
-            }
-        }
-        // In-flight configuration of a replaced plan is void.
-        self.be = BeNetwork::new(self.mesh, BeConfig::default());
-
-        let mut plan = StreamPlan::new(&self.mesh, params.lanes_per_port, mapping.lane_capacity);
-        let mut served = Vec::new();
-        let streams = mapping.streams();
-        plan.sessions.reset(streams.len() as u32);
-        let now = self.now.0;
-        for ms in streams {
-            let Some(route_idx) = ms.route else {
-                continue; // spilled: no circuit to serve it with
-            };
-            let route = mapping.routes[route_idx].clone();
-            match mode {
-                ProvisionMode::Instant => {
-                    plan.register(ms.id, route, 0, 0, Vec::new());
-                }
-                ProvisionMode::BeDelivered => {
-                    let (ready, setup_msgs) = self.send_setup(&route);
-                    plan.register(ms.id, route, ready, ready - now, setup_msgs);
-                }
-            }
-            self.tiles.set_capture(ms.dst.0, true);
-            served.push(ms.id);
-        }
-        self.plan = Some(plan);
-        Ok(served)
-    }
-
     /// Parallel circuit paths (lanes) stream `id` holds; `None` for
     /// handles this fabric does not serve. The authoritative lane count
     /// behind the hybrid's GT/BE split accounting.
@@ -395,29 +298,9 @@ impl Soc {
             .map_or(0, |p| p.sessions.iter().map(|s| s.x.ingress.len()).sum())
     }
 
-    /// Choose serial or pooled router evaluation (default
-    /// [`ParPolicy::Auto`]): the eval and commit phases fan out over the
-    /// persistent [`noc_sim::par::WorkerPool`]. Results are bit-identical
-    /// under every policy; fabric-generic code reaches this knob through
-    /// `Fabric::set_parallelism` or
-    /// `Deployment::builder(..).parallelism(..)`.
-    pub fn set_parallelism(&mut self, policy: ParPolicy) {
-        self.policy = policy;
-    }
-
-    /// The mesh topology.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
     /// The shared router parameters.
     pub fn params(&self) -> &RouterParams {
         &self.params
-    }
-
-    /// The current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
     }
 
     /// Immutable access to a router.
@@ -445,8 +328,260 @@ impl Soc {
         self.tiles.set_kind(node.0, kind);
     }
 
+    /// Sum of all routers' activity as one ledger.
+    pub fn total_activity(&self) -> ActivityLedger {
+        let mut total = ActivityLedger::new();
+        for c in self.activity() {
+            total.merge(&c.ledger);
+        }
+        total
+    }
+
+    /// Total phits delivered to all tiles.
+    pub fn total_delivered(&self) -> u64 {
+        (0..self.tiles.len())
+            .map(|n| self.tiles.total_received(n))
+            .sum()
+    }
+}
+
+/// Backend label of the circuit-switched [`Soc`] in [`FabricSnapshot`]s.
+pub(crate) const SOC_BACKEND: &str = "circuit-soc";
+
+impl Fabric for Soc {
+    fn kind(&self) -> FabricKind {
+        FabricKind::Circuit
+    }
+
+    fn snapshot(&self) -> FabricSnapshot {
+        FabricSnapshot::new(SOC_BACKEND, self.clone())
+    }
+
+    fn restore(&mut self, snapshot: &FabricSnapshot) -> Result<(), SnapshotError> {
+        *self = snapshot.downcast::<Soc>(SOC_BACKEND)?.clone();
+        Ok(())
+    }
+
+    fn mesh(&self) -> &Mesh {
+        &self.mesh
+    }
+
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Configure every circuit of `mapping` directly into the routers and
+    /// set up the per-stream session table the [`crate::fabric::Fabric`]
+    /// API drives: one [`StreamId`] per NoC-crossing route (the mapping's
+    /// [`Mapping::streams`] numbering), each with its provisioned TX/RX
+    /// lanes, word queues and latency telemetry; destination tiles get
+    /// per-lane payload capture enabled so `drain_stream` can return
+    /// delivered words stream-exactly.
+    ///
+    /// Production configuration delivery rides the BE network
+    /// ([`crate::be`]); this is the instantaneous path, equivalent in
+    /// final router state (`be_configuration_matches_direct_configuration`
+    /// in the end-to-end tests). Circuits admitted later at runtime
+    /// ([`Fabric::admit`]) *do* pay BE delivery latency.
+    ///
+    /// [`Mapping::spilled`] entries are *not* served: a circuit-only SoC
+    /// has no best-effort plane to put them on (their [`StreamId`]s stay
+    /// reserved so handles agree across backends). Deploy spill-admitted
+    /// mappings on [`crate::hybrid::HybridFabric`] (or the packet fabric)
+    /// when every stream must be delivered.
+    ///
+    /// Returns the handles of the streams this fabric serves.
+    fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
+        self.provision_with(mapping, ProvisionMode::Instant)
+    }
+
+    /// [`Soc::provision`] with an explicit [`ProvisionMode`].
+    ///
+    /// Under [`ProvisionMode::BeDelivered`] no configuration word touches
+    /// a router here: each stream's setup words are batched per router
+    /// ([`EdgeRoute::config_words_by_node`]) and sent over the BE network
+    /// from the CCN's corner node — exactly the runtime-admission path
+    /// ([`Fabric::admit`]) — so the cold-start delivery wait (paper
+    /// §5.1 budgets) is charged to each stream's `reconfig_cycles` and,
+    /// through `ready_at`, to the measured latency of every word injected
+    /// before the circuit materialises. Streams are sent in [`StreamId`]
+    /// order, so BE-link contention (and therefore each stream's charge)
+    /// is deterministic.
+    fn provision_with(
+        &mut self,
+        mapping: &Mapping,
+        mode: ProvisionMode,
+    ) -> Result<Vec<StreamId>, ProvisionError> {
+        let params = self.params;
+        // Idempotency (the Fabric contract): a re-provision replaces the
+        // previous plan entirely — tear down every configured lane and
+        // stop capturing at the old destinations before applying the new
+        // mapping, so no stale circuit keeps forwarding or capturing.
+        if self.plan.is_some() {
+            for node in self.mesh.iter() {
+                for port in Port::ALL {
+                    for lane in 0..params.lanes_per_port {
+                        self.routers[node.0].deactivate_lane(port, lane)?;
+                    }
+                }
+                for lane in 0..params.lanes_per_port {
+                    // A replaced plan's mid-window credit counts and ack
+                    // phases must not leak into the new plan's circuits.
+                    self.routers[node.0].reset_tile_lane_flow(lane);
+                }
+                self.tiles.set_capture(node.0, false);
+            }
+        }
+        if mode == ProvisionMode::Instant {
+            for (node, word) in mapping.config_words(&params) {
+                self.routers[node.0].apply_config_word(word)?;
+            }
+        }
+        // In-flight configuration of a replaced plan is void.
+        self.be = BeNetwork::new(self.mesh, BeConfig::default());
+
+        let mut plan = StreamPlan::new(&self.mesh, params.lanes_per_port, mapping.lane_capacity);
+        let mut served = Vec::new();
+        let streams = mapping.streams();
+        plan.sessions.reset(streams.len() as u32);
+        let now = self.now.0;
+        for ms in streams {
+            let Some(route_idx) = ms.route else {
+                continue; // spilled: no circuit to serve it with
+            };
+            let route = mapping.routes[route_idx].clone();
+            match mode {
+                ProvisionMode::Instant => {
+                    plan.register(ms.id, route, 0, 0, Vec::new());
+                }
+                ProvisionMode::BeDelivered => {
+                    let (ready, setup_msgs) = self.send_setup(&route);
+                    plan.register(ms.id, route, ready, ready - now, setup_msgs);
+                }
+            }
+            self.tiles.set_capture(ms.dst.0, true);
+            served.push(ms.id);
+        }
+        self.plan = Some(plan);
+        Ok(served)
+    }
+
+    /// Words are tagged with the current cycle (the latency clock starts
+    /// at injection, so serialisation backlog counts as service time) and
+    /// drained onto the stream's provisioned TX lanes, one phit per free
+    /// lane per cycle. All are accepted: the ingress queue is unbounded
+    /// and its depth measures offered-load backlog.
+    ///
+    /// # Panics
+    /// Also panics before [`Soc::provision`].
+    fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
+        let now = self.now.0;
+        let plan = self.plan.as_mut().expect("inject_stream before provision");
+        let idx = plan.sessions.accepting(stream);
+        let s = &mut plan.sessions[idx];
+        s.x.ingress.extend(words.iter().map(|&w| (w, now)));
+        s.words.injected += words.len() as u64;
+        words.len()
+    }
+
+    /// # Panics
+    /// Also panics before [`Soc::provision`].
+    fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
+        self.plan
+            .as_mut()
+            .expect("drain_stream before provision")
+            .sessions
+            .take_egress(stream)
+    }
+
+    fn stream_stats(&self) -> Vec<StreamStats> {
+        let Some(plan) = &self.plan else {
+            return Vec::new();
+        };
+        plan.sessions
+            .iter()
+            .map(|s| s.stats(StreamPlane::Circuit, s.x.reconfig_cycles, 0))
+            .collect()
+    }
+
+    /// [`ReleaseMode::Drop`] tears the circuit down now: its lanes are
+    /// deactivated (one inactive configuration word per held output lane)
+    /// and returned to the free pool runtime admission allocates from;
+    /// undelivered ingress backlog is discarded and words mid-circuit are
+    /// dropped with the lanes. [`ReleaseMode::Drain`] holds the lanes
+    /// until every accepted word has been captured, and [`Soc::step`]
+    /// finalises the teardown one ack-flush window later.
+    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
+        let Some(plan) = &mut self.plan else {
+            return Err(AdmitError::UnknownStream(stream));
+        };
+        let idx = plan.sessions.releasable(stream)?;
+        let s = &plan.sessions[idx];
+        let empty = s.x.is_empty();
+        let never_carried = s.words.delivered == 0;
+        match mode {
+            ReleaseMode::Drop => self.teardown_stream_at(idx),
+            // A drain on a stream that never moved a word is already
+            // complete — no capture happened, so no acknowledge can be in
+            // flight on the reverse wires.
+            ReleaseMode::Drain if empty && never_carried => self.teardown_stream_at(idx),
+            ReleaseMode::Drain => plan.sessions.start_drain(idx),
+        }
+        Ok(())
+    }
+
+    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
+        self.plan.as_ref()?.sessions.is_active(stream)
+    }
+
+    /// Re-runs CCN lane allocation against the live circuits (draining
+    /// streams still hold theirs) without claiming anything.
+    fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
+        let Some(plan) = &self.plan else {
+            return false;
+        };
+        matches!(plan.route_for(self.mesh, self.params, demand), Ok(route) if !route.paths.is_empty())
+    }
+
+    /// Re-runs CCN lane allocation for `demand` against the lanes the live
+    /// circuits hold, ships the new circuit's configuration words over the
+    /// BE network and charges the delivery wait (paper §5.1 budgets) to
+    /// the new stream: words injected before the configuration lands
+    /// queue up and pay the wait in their measured latency.
+    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
+        demand.check()?;
+        let Some(plan) = &self.plan else {
+            return Err(AdmitError::Unsupported(
+                "admit needs a provisioned fabric (lane capacity comes from the mapping)",
+            ));
+        };
+        let route = plan.route_for(self.mesh, self.params, demand)?;
+        if route.paths.is_empty() {
+            return Err(AdmitError::Unsupported(
+                "on-tile demands need no NoC stream",
+            ));
+        }
+        let now = self.now.0;
+        let (ready, setup_msgs) = self.send_setup(&route);
+        let dst = route.dst().expect("paths checked non-empty");
+        let plan = self.plan.as_mut().expect("checked above");
+        let id = plan.sessions.issue();
+        plan.register(id, route, ready, ready - now, setup_msgs);
+        self.tiles.set_capture(dst.0, true);
+        Ok(id)
+    }
+
+    /// Choose serial or pooled router evaluation (default
+    /// [`ParPolicy::Auto`]): the eval and commit phases fan out over the
+    /// persistent [`noc_sim::par::WorkerPool`]. Results are bit-identical
+    /// under every policy; deployments reach this knob through
+    /// `Deployment::builder(..).parallelism(..)`.
+    fn set_parallelism(&mut self, policy: ParPolicy) {
+        self.policy = policy;
+    }
+
     /// Advance the whole SoC by one clock cycle.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         // 0. Apply BE-delivered configuration that fell due this cycle:
         //    runtime-admitted circuits materialise here, charging their
         //    §5.1 reconfiguration wait cycle-accurately.
@@ -568,198 +703,16 @@ impl Soc {
         self.now += 1;
     }
 
-    /// Run `cycles` cycles.
-    pub fn run(&mut self, cycles: CycleCount) {
-        for _ in 0..cycles {
-            self.step();
-        }
-    }
-
     /// Merge the whole SoC's per-component activity (for SoC-level power).
-    pub fn activity(&self) -> Vec<ComponentActivity> {
+    fn activity(&self) -> Vec<ComponentActivity> {
         merge_by_kind(self.routers.iter().flat_map(|r| r.activity()))
     }
 
-    /// Sum of all routers' activity as one ledger.
-    pub fn total_activity(&self) -> ActivityLedger {
-        let mut total = ActivityLedger::new();
-        for c in self.activity() {
-            total.merge(&c.ledger);
-        }
-        total
-    }
-
     /// Clear every router's ledgers (start of a measurement window).
-    pub fn clear_activity(&mut self) {
+    fn clear_activity(&mut self) {
         for r in &mut self.routers {
             r.clear_activity();
         }
-    }
-
-    /// Total phits delivered to all tiles.
-    pub fn total_delivered(&self) -> u64 {
-        (0..self.tiles.len())
-            .map(|n| self.tiles.total_received(n))
-            .sum()
-    }
-}
-
-/// Backend label of the circuit-switched [`Soc`] in [`FabricSnapshot`]s.
-pub(crate) const SOC_BACKEND: &str = "circuit-soc";
-
-impl Fabric for Soc {
-    fn kind(&self) -> FabricKind {
-        FabricKind::Circuit
-    }
-
-    fn snapshot(&self) -> FabricSnapshot {
-        FabricSnapshot::new(SOC_BACKEND, self.clone())
-    }
-
-    fn restore(&mut self, snapshot: &FabricSnapshot) -> Result<(), SnapshotError> {
-        *self = snapshot.downcast::<Soc>(SOC_BACKEND)?.clone();
-        Ok(())
-    }
-
-    fn mesh(&self) -> &Mesh {
-        Soc::mesh(self)
-    }
-
-    fn now(&self) -> Cycle {
-        Soc::now(self)
-    }
-
-    fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
-        Soc::provision(self, mapping).map_err(ProvisionError::from)
-    }
-
-    fn provision_with(
-        &mut self,
-        mapping: &Mapping,
-        mode: ProvisionMode,
-    ) -> Result<Vec<StreamId>, ProvisionError> {
-        Soc::provision_with(self, mapping, mode).map_err(ProvisionError::from)
-    }
-
-    /// Words are tagged with the current cycle (the latency clock starts
-    /// at injection, so serialisation backlog counts as service time) and
-    /// drained onto the stream's provisioned TX lanes, one phit per free
-    /// lane per cycle. All are accepted: the ingress queue is unbounded
-    /// and its depth measures offered-load backlog.
-    ///
-    /// # Panics
-    /// Also panics before [`Soc::provision`].
-    fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let now = self.now.0;
-        let plan = self.plan.as_mut().expect("inject_stream before provision");
-        let idx = plan.sessions.accepting(stream);
-        let s = &mut plan.sessions[idx];
-        s.x.ingress.extend(words.iter().map(|&w| (w, now)));
-        s.words.injected += words.len() as u64;
-        words.len()
-    }
-
-    /// # Panics
-    /// Also panics before [`Soc::provision`].
-    fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        self.plan
-            .as_mut()
-            .expect("drain_stream before provision")
-            .sessions
-            .take_egress(stream)
-    }
-
-    fn stream_stats(&self) -> Vec<StreamStats> {
-        let Some(plan) = &self.plan else {
-            return Vec::new();
-        };
-        plan.sessions
-            .iter()
-            .map(|s| s.stats(StreamPlane::Circuit, s.x.reconfig_cycles, 0))
-            .collect()
-    }
-
-    /// [`ReleaseMode::Drop`] tears the circuit down now: its lanes are
-    /// deactivated (one inactive configuration word per held output lane)
-    /// and returned to the free pool runtime admission allocates from;
-    /// undelivered ingress backlog is discarded and words mid-circuit are
-    /// dropped with the lanes. [`ReleaseMode::Drain`] holds the lanes
-    /// until every accepted word has been captured, and [`Soc::step`]
-    /// finalises the teardown one ack-flush window later.
-    fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(plan) = &mut self.plan else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        let idx = plan.sessions.releasable(stream)?;
-        let s = &plan.sessions[idx];
-        let empty = s.x.is_empty();
-        let never_carried = s.words.delivered == 0;
-        match mode {
-            ReleaseMode::Drop => self.teardown_stream_at(idx),
-            // A drain on a stream that never moved a word is already
-            // complete — no capture happened, so no acknowledge can be in
-            // flight on the reverse wires.
-            ReleaseMode::Drain if empty && never_carried => self.teardown_stream_at(idx),
-            ReleaseMode::Drain => plan.sessions.start_drain(idx),
-        }
-        Ok(())
-    }
-
-    fn stream_is_active(&self, stream: StreamId) -> Option<bool> {
-        self.plan.as_ref()?.sessions.is_active(stream)
-    }
-
-    /// Re-runs CCN lane allocation against the live circuits (draining
-    /// streams still hold theirs) without claiming anything.
-    fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
-        let Some(plan) = &self.plan else {
-            return false;
-        };
-        matches!(plan.route_for(self.mesh, self.params, demand), Ok(route) if !route.paths.is_empty())
-    }
-
-    /// Re-runs CCN lane allocation for `demand` against the lanes the live
-    /// circuits hold, ships the new circuit's configuration words over the
-    /// BE network and charges the delivery wait (paper §5.1 budgets) to
-    /// the new stream: words injected before the configuration lands
-    /// queue up and pay the wait in their measured latency.
-    fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        demand.check()?;
-        let Some(plan) = &self.plan else {
-            return Err(AdmitError::Unsupported(
-                "admit needs a provisioned fabric (lane capacity comes from the mapping)",
-            ));
-        };
-        let route = plan.route_for(self.mesh, self.params, demand)?;
-        if route.paths.is_empty() {
-            return Err(AdmitError::Unsupported(
-                "on-tile demands need no NoC stream",
-            ));
-        }
-        let now = self.now.0;
-        let (ready, setup_msgs) = self.send_setup(&route);
-        let dst = route.dst().expect("paths checked non-empty");
-        let plan = self.plan.as_mut().expect("checked above");
-        let id = plan.sessions.issue();
-        plan.register(id, route, ready, ready - now, setup_msgs);
-        self.tiles.set_capture(dst.0, true);
-        Ok(id)
-    }
-
-    fn set_parallelism(&mut self, policy: ParPolicy) {
-        Soc::set_parallelism(self, policy)
-    }
-
-    fn step(&mut self) {
-        Soc::step(self)
-    }
-
-    fn activity(&self) -> Vec<ComponentActivity> {
-        Soc::activity(self)
-    }
-
-    fn clear_activity(&mut self) {
-        Soc::clear_activity(self)
     }
 
     fn is_quiescent(&self) -> bool {

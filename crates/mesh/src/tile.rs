@@ -9,7 +9,7 @@
 //! by construction (Section 3.3).
 //!
 //! All tiles of one SoC live in a single [`TileSlab`] — structure-of-arrays
-//! storage indexed by node, mirroring `noc_packet::router::RouterSlab`. The
+//! storage indexed by node, stepped by the SoC's sequential tile pass. The
 //! hot per-cycle state (receive statistics, capture buffers) sits in flat
 //! `nodes × lanes` arrays so a full-mesh sweep walks contiguous memory, and
 //! [`TileSlab::step_node`] returns immediately for the (typical) majority of

@@ -14,7 +14,7 @@ use noc_sim::activity::{ActivityClass, ActivityLedger};
 use noc_sim::signal::Reg;
 
 /// A round-robin arbiter over `n` requesters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoundRobin {
     n: usize,
     /// Index granted most recently (search starts after it).

@@ -1,5 +1,4 @@
-//! The assembled five-port virtual-channel wormhole router, stored as a
-//! structure-of-arrays slab.
+//! The assembled five-port virtual-channel wormhole router.
 //!
 //! Per-cycle dataflow (single-stage, matching the one-cycle latency of the
 //! registered circuit-switched crossbar it is compared against):
@@ -23,16 +22,16 @@
 //! whole point: every one of steps 1–3 costs buffers or arbitration the
 //! circuit-switched data path simply does not have.
 //!
-//! # Slab layout
+//! # Layout
 //!
-//! A mesh holds hundreds of routers, and the stepping loop is the whole
-//! simulator's hot path. [`RouterSlab`] therefore stores *all* routers of a
-//! fabric in flat per-field arrays (`[router × port × vc]` stride indexing)
-//! instead of a `Vec` of boxed per-router structs: one cache-friendly
-//! allocation per field, stepped by router index with zero per-cycle heap
-//! allocation (arbitration scratch lives on the stack, bounded by
-//! [`RouterSlab::MAX_VCS`]). [`PacketRouter`] remains as a slab-of-one
-//! wrapper for single-router testbenches.
+//! A [`PacketRouter`] is one plain struct, the same layout as the circuit
+//! router: per-port and per-`(port, vc)` state lives in fixed arrays sized
+//! by [`PacketRouter::MAX_VCS`], of which the first `P × vcs` entries are
+//! live. Building a router allocates nothing but its FIFO storage, and a
+//! cycle allocates nothing at all (arbitration scratch lives on the
+//! stack). A mesh keeps a `Vec<PacketRouter>` and clocks it with
+//! [`noc_sim::par::par_step`], which hands each router to exactly one
+//! thread.
 //!
 //! # Idle fast path
 //!
@@ -41,26 +40,28 @@
 //! credits, zeroed output registers) and that receives no link or credit
 //! input evaluates to a no-op and commits to a *constant* set of ledger
 //! charges — the clock energy of its ungated flops, with zero toggles (or
-//! nothing at all when clock-gated). The slab tracks a `settled` flag per
-//! router, skips evaluation outright, and applies the precomputed
-//! `IdleCosts` constants at commit. The constants are exact, not an
-//! approximation: `idle_fast_path_charges_match_full_path` pins them
-//! against the full path, and the mesh-level determinism suites pin
-//! sequential-vs-pooled equality.
+//! nothing at all when clock-gated). The router keeps a `settled` flag,
+//! skips evaluation outright, and applies the precomputed `IdleCosts`
+//! constants at commit. The constants are exact, not an approximation:
+//! `idle_fast_path_charges_match_full_path` pins them against the full
+//! path, and the mesh-level determinism suites pin sequential-vs-pooled
+//! equality.
 
 use crate::arbiter::RoundRobin;
 use crate::flit::{Flit, LinkWord};
 use crate::params::{PacketParams, PacketPort};
-use crate::routing::{route_xy, Coords};
+use crate::routing::route_xy;
 use crate::vc::{InputVc, OutputVc, VcId};
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
 use noc_sim::kernel::Clocked;
-use noc_sim::par::{par_indexed, ParPolicy};
 use noc_sim::signal::{Reg, Wire};
 use std::collections::VecDeque;
 
 /// Number of ports (fixed).
 const P: usize = PacketPort::COUNT;
+
+/// Entries of a `[port × vc]` array (the first `P × vcs` are live).
+const PV: usize = P * PacketRouter::MAX_VCS;
 
 /// The six per-router activity ledgers, at the paper's Table 4 component
 /// granularity.
@@ -89,157 +90,88 @@ struct IdleCosts {
     flow: u64,
 }
 
-/// All packet routers of one fabric, as structure-of-arrays.
+/// The packet-switched baseline router: five ports, `vcs` wormhole VCs
+/// per port, credit flow control and separable round-robin allocation.
 ///
-/// Field arrays are indexed `[router]`, `[router × port]`, or
-/// `[router × port × vc]` with row-major stride math; each router's state
-/// is a fixed-width stripe, so `eval_one`/`commit_one` touch disjoint
-/// memory for distinct indices — the property the parallel stepping relies
-/// on. Behaviour and activity accounting are bit-identical to stepping the
-/// routers individually.
+/// `[port × vc]` arrays are indexed `port * vcs + vc`.
 #[derive(Debug, Clone)]
-pub struct RouterSlab {
+pub struct PacketRouter {
     params: PacketParams,
-    n: usize,
-    /// Mesh coordinates per router (XY routing needs them).
-    coords: Vec<Coords>,
+    idle: IdleCosts,
 
-    /// Input VC state: `[router × port × vc]`.
-    inputs: Vec<InputVc>,
-    /// Output VC state: `[router × port × vc]`.
-    outputs: Vec<OutputVc>,
+    /// Input VC state: `[port × vc]`.
+    inputs: [InputVc; PV],
+    /// Output VC state: `[port × vc]`.
+    outputs: [OutputVc; PV],
 
-    /// Flit sampled on each input link this cycle: `[router × port]`.
-    link_in: Vec<Option<(VcId, Flit)>>,
-    /// Credits returning from downstream: `[router × port × vc]`.
-    credit_in: Vec<bool>,
+    /// Flit sampled on each input link this cycle.
+    link_in: [Option<(VcId, Flit)>; P],
+    /// Credits returning from downstream: `[port × vc]`.
+    credit_in: [bool; PV],
 
-    /// Output registers driving the links: `[router × port]`.
-    out_regs: Vec<Reg<u32>>,
+    /// Output registers driving the links.
+    out_regs: [Reg<u32>; P],
     /// Decoded view of the output registers (what is on the link).
-    out_words: Vec<LinkWord>,
+    out_words: [LinkWord; P],
     /// Link wires for toggle counting (neighbour ports only).
-    link_wires: Vec<Wire<u32>>,
+    link_wires: [Wire<u32>; P],
     /// Which input port each output port last selected (crossbar select).
-    out_select: Vec<Wire<u8>>,
+    out_select: [Wire<u8>; P],
 
-    /// Credit pulses to send upstream this cycle: `[router × port × vc]`.
-    credit_out_next: Vec<bool>,
+    /// Credit pulses to send upstream this cycle: `[port × vc]`.
+    credit_out_next: [bool; PV],
     /// Latched credit outputs.
-    credit_out_regs: Vec<Reg<bool>>,
+    credit_out_regs: [Reg<bool>; PV],
 
     /// Switch-allocation arbiters: one per input port (VC nomination) and
     /// one per output port (input selection), then VC-allocation arbiters
-    /// per output port. All `[router × port]`.
-    input_arbs: Vec<RoundRobin>,
-    output_arbs: Vec<RoundRobin>,
-    vc_arbs: Vec<RoundRobin>,
+    /// per output port.
+    input_arbs: [RoundRobin; P],
+    output_arbs: [RoundRobin; P],
+    vc_arbs: [RoundRobin; P],
 
     /// Flits delivered at the tile output port, awaiting the tile.
-    tile_rx: Vec<VecDeque<(VcId, Flit)>>,
+    tile_rx: VecDeque<(VcId, Flit)>,
 
-    ledgers: Vec<RouterLedgers>,
+    led: RouterLedgers,
 
-    /// Flits accepted for injection at the tile port, per router.
-    flits_injected: Vec<u64>,
-    /// Flits delivered to the tile port, per router.
-    flits_delivered: Vec<u64>,
+    /// Flits accepted for injection at the tile port.
+    flits_injected: u64,
+    /// Flits delivered to the tile port.
+    flits_delivered: u64,
 
     /// Architectural state fully parked after the last commit: evaluation
     /// can be skipped until an input arrives.
-    settled: Vec<bool>,
+    settled: bool,
     /// This cycle's evaluation was skipped (commit applies [`IdleCosts`]).
-    skipped: Vec<bool>,
+    skipped: bool,
     /// A link flit or credit was sampled since the last evaluation.
-    inbox: Vec<bool>,
+    inbox: bool,
     /// Router drives no link word and no credit pulse — its neighbours'
     /// wiring can skip sampling it entirely.
-    quiet: Vec<bool>,
-
-    idle: IdleCosts,
+    quiet: bool,
 }
 
-/// One router's mutable stripe through the slab, plus its shared inputs.
-/// Built per step from raw base pointers so pool lanes holding *different*
-/// router indices get provably disjoint views.
-struct Lane<'a> {
-    coords: Coords,
-    inputs: &'a mut [InputVc],
-    outputs: &'a mut [OutputVc],
-    link_in: &'a mut [Option<(VcId, Flit)>],
-    credit_in: &'a mut [bool],
-    out_regs: &'a mut [Reg<u32>],
-    out_words: &'a mut [LinkWord],
-    link_wires: &'a mut [Wire<u32>],
-    out_select: &'a mut [Wire<u8>],
-    credit_out_next: &'a mut [bool],
-    credit_out_regs: &'a mut [Reg<bool>],
-    input_arbs: &'a mut [RoundRobin],
-    output_arbs: &'a mut [RoundRobin],
-    vc_arbs: &'a mut [RoundRobin],
-    tile_rx: &'a mut VecDeque<(VcId, Flit)>,
-    led: &'a mut RouterLedgers,
-    flits_delivered: &'a mut u64,
-    settled: &'a mut bool,
-    skipped: &'a mut bool,
-    inbox: &'a mut bool,
-    quiet: &'a mut bool,
-}
-
-/// Raw base pointers into the slab arrays — `Copy`, so every pool lane can
-/// carve its own router stripe without borrowing the slab.
-#[derive(Clone, Copy)]
-struct SlabPtrs {
-    coords: *const Coords,
-    inputs: *mut InputVc,
-    outputs: *mut OutputVc,
-    link_in: *mut Option<(VcId, Flit)>,
-    credit_in: *mut bool,
-    out_regs: *mut Reg<u32>,
-    out_words: *mut LinkWord,
-    link_wires: *mut Wire<u32>,
-    out_select: *mut Wire<u8>,
-    credit_out_next: *mut bool,
-    credit_out_regs: *mut Reg<bool>,
-    input_arbs: *mut RoundRobin,
-    output_arbs: *mut RoundRobin,
-    vc_arbs: *mut RoundRobin,
-    tile_rx: *mut VecDeque<(VcId, Flit)>,
-    ledgers: *mut RouterLedgers,
-    flits_delivered: *mut u64,
-    settled: *mut bool,
-    skipped: *mut bool,
-    inbox: *mut bool,
-    quiet: *mut bool,
-}
-
-// SAFETY: the pointees are plain data owned by the slab, and every stripe
-// (router index) is accessed by exactly one thread per dispatch — the
-// contract `par_indexed` documents and upholds.
-unsafe impl Send for SlabPtrs {}
-unsafe impl Sync for SlabPtrs {}
-
-impl RouterSlab {
+impl PacketRouter {
     /// Upper bound on `vcs` — the link wire image carries a 2-bit VC id,
     /// so more channels cannot be encoded. The bound also sizes the
-    /// stack-allocated arbitration scratch in the hot loop.
+    /// router's `[port × vc]` arrays and the stack-allocated arbitration
+    /// scratch in the hot loop.
     pub const MAX_VCS: usize = 4;
 
-    /// A slab of `coords.len()` idle routers sharing `params` (each
-    /// router's own coordinates come from `coords`, not `params.coords`).
-    pub fn new(params: PacketParams, coords: &[Coords]) -> RouterSlab {
+    /// A router with all VCs idle at `params.coords`.
+    pub fn new(params: PacketParams) -> PacketRouter {
         assert!(
             (1..=Self::MAX_VCS).contains(&params.vcs),
             "vcs must be 1..=4 (2-bit link VC id)"
         );
-        let n = coords.len();
         let v = params.vcs;
         let input_arb = RoundRobin::new(v);
         let output_arb = RoundRobin::new(P);
         let vc_arb = RoundRobin::new(P * v);
 
         // Per-cycle clock charges of one fully idle ungated router; see
-        // `commit_lane` for the structures each term mirrors.
+        // `commit` for the structures each term mirrors.
         let out_bits = u64::from(16 + 2 + params.vc_bits() + 1);
         let depth = params.fifo_depth;
         let ptr_bits = u64::from((usize::BITS - (depth - 1).leading_zeros()).max(1));
@@ -255,142 +187,123 @@ impl RouterSlab {
             flow: (P * v) as u64,
         };
 
-        RouterSlab {
+        PacketRouter {
             params,
-            n,
-            coords: coords.to_vec(),
-            inputs: (0..n * P * v).map(|_| InputVc::new(depth)).collect(),
-            outputs: vec![OutputVc::new(depth); n * P * v],
-            link_in: vec![None; n * P],
-            credit_in: vec![false; n * P * v],
-            out_regs: vec![Reg::new(0); n * P],
-            out_words: vec![LinkWord::IDLE; n * P],
-            link_wires: vec![Wire::new(0, ActivityClass::LinkToggle); n * P],
-            out_select: vec![Wire::new(0, ActivityClass::SelectToggle); n * P],
-            credit_out_next: vec![false; n * P * v],
-            credit_out_regs: vec![Reg::new(false); n * P * v],
-            input_arbs: vec![input_arb; n * P],
-            output_arbs: vec![output_arb; n * P],
-            vc_arbs: vec![vc_arb; n * P],
-            tile_rx: vec![VecDeque::new(); n],
-            ledgers: vec![RouterLedgers::default(); n],
-            flits_injected: vec![0; n],
-            flits_delivered: vec![0; n],
-            settled: vec![false; n],
-            skipped: vec![false; n],
-            inbox: vec![false; n],
-            quiet: vec![false; n],
             idle,
+            inputs: std::array::from_fn(|_| InputVc::new(depth)),
+            outputs: [OutputVc::new(depth); PV],
+            link_in: [None; P],
+            credit_in: [false; PV],
+            out_regs: [Reg::new(0); P],
+            out_words: [LinkWord::IDLE; P],
+            link_wires: [Wire::new(0, ActivityClass::LinkToggle); P],
+            out_select: [Wire::new(0, ActivityClass::SelectToggle); P],
+            credit_out_next: [false; PV],
+            credit_out_regs: [Reg::new(false); PV],
+            input_arbs: [input_arb; P],
+            output_arbs: [output_arb; P],
+            vc_arbs: [vc_arb; P],
+            tile_rx: VecDeque::new(),
+            led: RouterLedgers::default(),
+            flits_injected: 0,
+            flits_delivered: 0,
+            settled: false,
+            skipped: false,
+            inbox: false,
+            quiet: false,
         }
     }
 
-    /// Routers in the slab.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when the slab holds no routers.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The shared router parameters.
+    /// The router's parameters.
     pub fn params(&self) -> &PacketParams {
         &self.params
     }
 
+    /// Index of `(port, vc)` in the `[port × vc]` arrays.
     #[inline]
-    fn rp(&self, r: usize, port: PacketPort) -> usize {
-        r * P + port.index()
-    }
-
-    #[inline]
-    fn rpv(&self, r: usize, port: PacketPort, vc: VcId) -> usize {
-        (r * P + port.index()) * self.params.vcs + vc.index()
+    fn pv(&self, port: PacketPort, vc: VcId) -> usize {
+        port.index() * self.params.vcs + vc.index()
     }
 
     // ----- link interface ------------------------------------------------
 
-    /// Sample the flit arriving on router `r`'s `port` this cycle.
-    pub fn set_link_input(&mut self, r: usize, port: PacketPort, vc: VcId, flit: Flit) {
-        let i = self.rp(r, port);
+    /// Sample the flit arriving on `port` this cycle.
+    pub fn set_link_input(&mut self, port: PacketPort, vc: VcId, flit: Flit) {
+        let i = port.index();
         debug_assert!(self.link_in[i].is_none(), "one flit per link per cycle");
         self.link_in[i] = Some((vc, flit));
-        self.inbox[r] = true;
+        self.inbox = true;
     }
 
-    /// Sample a returning credit for router `r`'s `(output port, vc)`.
-    pub fn set_credit_input(&mut self, r: usize, port: PacketPort, vc: VcId, credit: bool) {
-        let i = self.rpv(r, port, vc);
+    /// Sample a returning credit for `(output port, vc)`.
+    pub fn set_credit_input(&mut self, port: PacketPort, vc: VcId, credit: bool) {
+        let i = self.pv(port, vc);
         self.credit_in[i] = credit;
-        self.inbox[r] = true;
+        self.inbox = true;
     }
 
-    /// The link word router `r` drives on `port` (valid after commit).
-    pub fn link_output(&self, r: usize, port: PacketPort) -> LinkWord {
-        self.out_words[self.rp(r, port)]
+    /// The link word this router drives on `port` (valid after commit).
+    pub fn link_output(&self, port: PacketPort) -> LinkWord {
+        self.out_words[port.index()]
     }
 
-    /// The latched credit pulse router `r` sends upstream on its *input*
+    /// The latched credit pulse this router sends upstream on its *input*
     /// `(port, vc)` — wire to the upstream router's `set_credit_input`.
-    pub fn credit_output(&self, r: usize, port: PacketPort, vc: VcId) -> bool {
-        self.credit_out_regs[self.rpv(r, port, vc)].q()
+    pub fn credit_output(&self, port: PacketPort, vc: VcId) -> bool {
+        self.credit_out_regs[self.pv(port, vc)].q()
     }
 
-    /// Router `r` drives no link word and no credit pulse this cycle: its
+    /// The router drives no link word and no credit pulse this cycle: its
     /// neighbours' wiring pass can skip sampling it with no behavioural
     /// difference. Exact, not heuristic — recomputed at every commit.
-    pub fn quiet_links(&self, r: usize) -> bool {
-        self.quiet[r]
+    pub fn quiet_links(&self) -> bool {
+        self.quiet
     }
 
     // ----- tile interface --------------------------------------------------
 
-    /// Room available for injection on router `r`'s tile VC `vc`?
-    pub fn tile_can_inject(&self, r: usize, vc: VcId) -> bool {
-        self.link_in[self.rp(r, PacketPort::Tile)].is_none()
-            && !self.inputs[self.rpv(r, PacketPort::Tile, vc)]
-                .fifo
-                .is_full()
+    /// Room available for injection on tile VC `vc`?
+    pub fn tile_can_inject(&self, vc: VcId) -> bool {
+        self.link_in[PacketPort::Tile.index()].is_none()
+            && !self.inputs[self.pv(PacketPort::Tile, vc)].fifo.is_full()
     }
 
-    /// Offer a flit at router `r`'s tile input port (at most one per cycle).
-    pub fn tile_inject(&mut self, r: usize, vc: VcId, flit: Flit) -> bool {
-        if !self.tile_can_inject(r, vc) {
+    /// Offer a flit at the tile input port (at most one per cycle).
+    pub fn tile_inject(&mut self, vc: VcId, flit: Flit) -> bool {
+        if !self.tile_can_inject(vc) {
             return false;
         }
-        let i = self.rp(r, PacketPort::Tile);
-        self.link_in[i] = Some((vc, flit));
-        self.inbox[r] = true;
-        self.flits_injected[r] += 1;
+        self.link_in[PacketPort::Tile.index()] = Some((vc, flit));
+        self.inbox = true;
+        self.flits_injected += 1;
         true
     }
 
-    /// Pop a flit delivered to router `r`'s tile.
-    pub fn tile_recv(&mut self, r: usize) -> Option<(VcId, Flit)> {
-        self.tile_rx[r].pop_front()
+    /// Pop a flit delivered to the tile.
+    pub fn tile_recv(&mut self) -> Option<(VcId, Flit)> {
+        self.tile_rx.pop_front()
     }
 
-    /// Flits waiting at router `r`'s tile output.
-    pub fn tile_rx_pending(&self, r: usize) -> usize {
-        self.tile_rx[r].len()
+    /// Flits waiting at the tile output.
+    pub fn tile_rx_pending(&self) -> usize {
+        self.tile_rx.len()
     }
 
-    /// Flits accepted for injection at router `r`'s tile port.
-    pub fn flits_injected(&self, r: usize) -> u64 {
-        self.flits_injected[r]
+    /// Flits accepted for injection at the tile port.
+    pub fn flits_injected(&self) -> u64 {
+        self.flits_injected
     }
 
-    /// Flits delivered to router `r`'s tile port.
-    pub fn flits_delivered(&self, r: usize) -> u64 {
-        self.flits_delivered[r]
+    /// Flits delivered to the tile port.
+    pub fn flits_delivered(&self) -> u64 {
+        self.flits_delivered
     }
 
     // ----- activity --------------------------------------------------------
 
-    /// Router `r`'s per-component activity snapshots (Table 4 granularity).
-    pub fn activity(&self, r: usize) -> Vec<ComponentActivity> {
-        let led = &self.ledgers[r];
+    /// Per-component activity snapshots (Table 4 component granularity).
+    pub fn activity(&self) -> Vec<ComponentActivity> {
+        let led = &self.led;
         vec![
             ComponentActivity::new(ComponentKind::Buffering, led.buffer),
             ComponentActivity::new(ComponentKind::Arbitration, led.arb),
@@ -401,475 +314,17 @@ impl RouterSlab {
         ]
     }
 
-    /// Reset every router's activity ledgers.
-    pub fn clear_activity(&mut self) {
-        self.ledgers.fill(RouterLedgers::default());
-    }
-
-    /// Is every FIFO of router `r` empty and every VC idle? (drain
-    /// detection for tests and admission control)
-    pub fn is_quiescent(&self, r: usize) -> bool {
-        let v = self.params.vcs;
-        self.inputs[r * P * v..(r + 1) * P * v]
-            .iter()
-            .all(|vc| vc.is_idle())
-    }
-
-    // ----- stepping --------------------------------------------------------
-
-    fn ptrs(&mut self) -> SlabPtrs {
-        SlabPtrs {
-            coords: self.coords.as_ptr(),
-            inputs: self.inputs.as_mut_ptr(),
-            outputs: self.outputs.as_mut_ptr(),
-            link_in: self.link_in.as_mut_ptr(),
-            credit_in: self.credit_in.as_mut_ptr(),
-            out_regs: self.out_regs.as_mut_ptr(),
-            out_words: self.out_words.as_mut_ptr(),
-            link_wires: self.link_wires.as_mut_ptr(),
-            out_select: self.out_select.as_mut_ptr(),
-            credit_out_next: self.credit_out_next.as_mut_ptr(),
-            credit_out_regs: self.credit_out_regs.as_mut_ptr(),
-            input_arbs: self.input_arbs.as_mut_ptr(),
-            output_arbs: self.output_arbs.as_mut_ptr(),
-            vc_arbs: self.vc_arbs.as_mut_ptr(),
-            tile_rx: self.tile_rx.as_mut_ptr(),
-            ledgers: self.ledgers.as_mut_ptr(),
-            flits_delivered: self.flits_delivered.as_mut_ptr(),
-            settled: self.settled.as_mut_ptr(),
-            skipped: self.skipped.as_mut_ptr(),
-            inbox: self.inbox.as_mut_ptr(),
-            quiet: self.quiet.as_mut_ptr(),
-        }
-    }
-
-    /// Build router `r`'s stripe view.
-    ///
-    /// # Safety
-    /// Caller must guarantee no other live view of the same `r` and that
-    /// the slab outlives the returned `Lane` (upheld by the dispatch
-    /// barrier: `par_step` borrows the slab mutably for the whole
-    /// dispatch, and each index runs exactly once).
-    unsafe fn lane<'a>(p: SlabPtrs, vcs: usize, r: usize) -> Lane<'a> {
-        use std::slice::from_raw_parts_mut;
-        let pv = P * vcs;
-        // SAFETY: `r` is a unique, in-bounds stripe index (caller contract
-        // above), so every `add(r * …)` lands inside its slab allocation
-        // and the borrows produced here are disjoint from every other
-        // stripe's.
-        unsafe {
-            Lane {
-                coords: *p.coords.add(r),
-                inputs: from_raw_parts_mut(p.inputs.add(r * pv), pv),
-                outputs: from_raw_parts_mut(p.outputs.add(r * pv), pv),
-                link_in: from_raw_parts_mut(p.link_in.add(r * P), P),
-                credit_in: from_raw_parts_mut(p.credit_in.add(r * pv), pv),
-                out_regs: from_raw_parts_mut(p.out_regs.add(r * P), P),
-                out_words: from_raw_parts_mut(p.out_words.add(r * P), P),
-                link_wires: from_raw_parts_mut(p.link_wires.add(r * P), P),
-                out_select: from_raw_parts_mut(p.out_select.add(r * P), P),
-                credit_out_next: from_raw_parts_mut(p.credit_out_next.add(r * pv), pv),
-                credit_out_regs: from_raw_parts_mut(p.credit_out_regs.add(r * pv), pv),
-                input_arbs: from_raw_parts_mut(p.input_arbs.add(r * P), P),
-                output_arbs: from_raw_parts_mut(p.output_arbs.add(r * P), P),
-                vc_arbs: from_raw_parts_mut(p.vc_arbs.add(r * P), P),
-                tile_rx: &mut *p.tile_rx.add(r),
-                led: &mut *p.ledgers.add(r),
-                flits_delivered: &mut *p.flits_delivered.add(r),
-                settled: &mut *p.settled.add(r),
-                skipped: &mut *p.skipped.add(r),
-                inbox: &mut *p.inbox.add(r),
-                quiet: &mut *p.quiet.add(r),
-            }
-        }
-    }
-
-    /// Evaluate router `r` (sequential helper; the single-router wrapper).
-    pub fn eval_one(&mut self, r: usize) {
-        let params = self.params;
-        let ptrs = self.ptrs();
-        // SAFETY: exclusive &mut self, one lane live.
-        eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
-    }
-
-    /// Commit router `r` (sequential helper; the single-router wrapper).
-    pub fn commit_one(&mut self, r: usize) {
-        let params = self.params;
-        let idle = self.idle;
-        let ptrs = self.ptrs();
-        // SAFETY: exclusive &mut self, one lane live.
-        commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
-    }
-
-    /// Clock every router one cycle — each one's eval then its commit —
-    /// in one dispatch, fanned out per `policy`. Exact: a router's lane
-    /// borrows only its own stripe, and its link and credit inputs were
-    /// sampled before the call, so no router can see whether another has
-    /// committed yet. Bit-identical to a sequential sweep in index order.
-    pub fn par_step(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let idle = self.idle;
-        let ptrs = self.ptrs();
-        par_indexed(self.n, policy, move |r| {
-            // SAFETY: par_indexed runs each index exactly once; stripes
-            // are disjoint per index; the dispatch barrier outlives lanes,
-            // and the eval view is dropped before the commit view is made.
-            eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
-            // SAFETY: as above.
-            commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
-        });
-    }
-}
-
-/// Evaluate phase for one router stripe.
-fn eval_lane(params: &PacketParams, lane: Lane<'_>) {
-    let v = params.vcs;
-
-    // Idle fast path: architectural state fully parked and nothing sampled
-    // on the links — evaluation is a provable no-op (every arbiter sees an
-    // empty request set, every register re-schedules its held value).
-    if *lane.settled && !*lane.inbox {
-        *lane.skipped = true;
-        return;
-    }
-    *lane.skipped = false;
-    *lane.inbox = false;
-
-    // --- 1. Arrival: write sampled flits into their VC FIFOs. Route
-    // computation happens later, when a head reaches the FIFO *front*:
-    // a head arriving behind a still-draining wormhole must not clobber
-    // the active route.
-    for port in 0..P {
-        if let Some((vc, flit)) = lane.link_in[port].take() {
-            let ivc = &mut lane.inputs[port * v + vc.index()];
-            let ok = ivc.fifo.push(flit, &mut lane.led.buffer);
-            debug_assert!(ok, "credit flow control prevents FIFO overflow");
-        }
-    }
-
-    // --- credits returning from downstream. --------------------------
-    for i in 0..P * v {
-        if std::mem::take(&mut lane.credit_in[i]) {
-            lane.outputs[i].return_credit();
-            lane.led.flow.bump(ActivityClass::Handshake);
-        }
-    }
-
-    // --- 1b. Route computation: an idle input VC whose FIFO front is
-    // a head flit decodes its destination (one decode per wormhole).
-    for i in 0..P * v {
-        let ivc = &mut lane.inputs[i];
-        if ivc.out_vc.is_none() && ivc.route.is_none() {
-            if let Some(dest) = ivc.fifo.front().and_then(|f| f.dest()) {
-                ivc.route = Some(route_xy(lane.coords, dest));
-                lane.led.route.add(ActivityClass::WireToggle, 4);
-            }
-        }
-    }
-
-    // --- 2. VC allocation: one free output VC granted per output port.
-    // Request scratch lives on the stack (MAX_VCS bounds the width).
-    let mut requests = [false; P * RouterSlab::MAX_VCS];
-    for out_port in 0..P {
-        // Find a free output VC first.
-        let free_vc = (0..v).find(|&x| !lane.outputs[out_port * v + x].busy);
-        let Some(free_vc) = free_vc else { continue };
-        // Requests: flattened input VCs whose head needs this output.
-        let req = &mut requests[..P * v];
-        for in_port in 0..P {
-            for vc in 0..v {
-                let ivc = &lane.inputs[in_port * v + vc];
-                req[in_port * v + vc] = ivc.out_vc.is_none()
-                    && ivc.route == PacketPort::from_index(out_port)
-                    && matches!(ivc.fifo.front(), Some(f) if f.dest().is_some());
-            }
-        }
-        if let Some(winner) = lane.vc_arbs[out_port].grant(req, &mut lane.led.arb) {
-            let (ip, iv) = (winner / v, winner % v);
-            lane.inputs[ip * v + iv].out_vc = Some(VcId(free_vc as u8));
-            lane.outputs[out_port * v + free_vc].busy = true;
-        }
-    }
-
-    // --- 3. Switch allocation (input-first separable). ---------------
-    // Input stage: nominate one ready VC per input port.
-    let mut nominee: [Option<usize>; P] = [None; P]; // vc index per input port
-    let mut ready = [false; RouterSlab::MAX_VCS];
-    for (in_port, nom) in nominee.iter_mut().enumerate() {
-        for (vc, slot) in ready[..v].iter_mut().enumerate() {
-            let ivc = &lane.inputs[in_port * v + vc];
-            *slot = ivc.out_vc.is_some()
-                && !ivc.fifo.is_empty()
-                && ivc.route.is_some_and(|r| {
-                    let ovc = ivc.out_vc.expect("checked is_some above");
-                    // The tile output sinks into an unbounded queue: it
-                    // always has credit. Mesh outputs need real credit.
-                    r == PacketPort::Tile || lane.outputs[r.index() * v + ovc.index()].credits > 0
-                });
-        }
-        *nom = lane.input_arbs[in_port].grant(&ready[..v], &mut lane.led.arb);
-    }
-
-    // Output stage: pick one nominated input per output port.
-    let mut granted: [(usize, usize, usize); P] = [(0, 0, 0); P]; // (in_port, vc, out_port)
-    let mut granted_len = 0;
-    for out_port in 0..P {
-        let mut reqs = [false; P];
-        for in_port in 0..P {
-            if let Some(vc) = nominee[in_port] {
-                if lane.inputs[in_port * v + vc].route == PacketPort::from_index(out_port) {
-                    reqs[in_port] = true;
-                }
-            }
-        }
-        if let Some(win) = lane.output_arbs[out_port].grant(&reqs, &mut lane.led.arb) {
-            granted[granted_len] = (
-                win,
-                nominee[win].expect("granted implies nominated"),
-                out_port,
-            );
-            granted_len += 1;
-            // Crossbar select lines follow the granted input.
-            lane.out_select[out_port].drive(win as u8 + 1, &mut lane.led.xbar);
-        } else {
-            // Idle output: select parks at 0 (no input).
-            lane.out_select[out_port].drive(0, &mut lane.led.xbar);
-        }
-    }
-
-    // Move winners' flits to the output registers.
-    let mut out_next = [0u32; P];
-    for &(in_port, vc, out_port) in &granted[..granted_len] {
-        let ivc = &mut lane.inputs[in_port * v + vc];
-        let out_vc = ivc.out_vc.expect("allocated before switch");
-        let flit = ivc
-            .fifo
-            .pop(&mut lane.led.buffer)
-            .expect("ready implies non-empty");
-        if out_port != PacketPort::Tile.index() {
-            lane.outputs[out_port * v + out_vc.index()].consume_credit();
-        }
-        // Credit back to our upstream for the freed slot.
-        lane.credit_out_next[in_port * v + vc] = true;
-        let word = LinkWord {
-            flit: Some((out_vc.0, flit)),
-        };
-        out_next[out_port] = word.wire_image();
-        if flit.is_tail() {
-            lane.outputs[out_port * v + out_vc.index()].busy = false;
-            ivc.release();
-        }
-    }
-    for (port, &next) in out_next.iter().enumerate() {
-        lane.out_regs[port].set_next(next);
-    }
-}
-
-/// Commit phase for one router stripe.
-fn commit_lane(params: &PacketParams, idle: &IdleCosts, lane: Lane<'_>) {
-    let v = params.vcs;
-    let gating = params.clock_gating;
-
-    // Idle fast path: evaluation was skipped, so every register holds and
-    // every charge is the parked router's clock constant — zero toggles,
-    // zero handshakes, zero state change. Gated, even the clocks stop.
-    if *lane.skipped {
-        if !gating {
-            lane.led.xbar.add(ActivityClass::RegClock, idle.xbar);
-            lane.led.buffer.add(ActivityClass::RegClock, idle.buffer);
-            lane.led.arb.add(ActivityClass::RegClock, idle.arb);
-            lane.led.flow.add(ActivityClass::RegClock, idle.flow);
-        }
-        return;
-    }
-
-    // Output registers latch and drive the links. Physical width:
-    // 16 payload + 2 kind + vc id + valid. Gated: a register parked at
-    // idle (holding idle, staying idle) is not clocked.
-    let out_bits = 16 + 2 + params.vc_bits() + 1;
-    for port in 0..P {
-        if gating && lane.out_regs[port].q() == 0 && lane.out_regs[port].d() == 0 {
-            lane.out_regs[port].clock_gated();
-        } else {
-            lane.out_regs[port].clock_bits(&mut lane.led.xbar, out_bits);
-        }
-        let image = lane.out_regs[port].q();
-        lane.out_words[port] = decode_wire(image);
-        if port != PacketPort::Tile.index() {
-            lane.link_wires[port].drive(image, &mut lane.led.link);
-        }
-    }
-
-    // Tile deliveries drain into the tile queue.
-    if let Some((vc, flit)) = lane.out_words[PacketPort::Tile.index()].flit {
-        lane.tile_rx.push_back((VcId(vc), flit));
-        *lane.flits_delivered += 1;
-    }
-
-    // All buffer flops clock every cycle — the dominant offset. Gated:
-    // an empty FIFO's storage and pointers hold, so its clock is off.
-    for ivc in lane.inputs.iter() {
-        if !(gating && ivc.fifo.is_empty()) {
-            ivc.fifo.clock_tick(&mut lane.led.buffer);
-        }
-    }
-
-    // VC state and credit-counter registers clock every cycle; gated,
-    // only VCs holding a wormhole or outstanding credits do.
-    let state_bits = if gating {
-        let mut bits = 0u64;
-        for i in 0..P * v {
-            if !lane.inputs[i].is_idle() {
-                bits += u64::from(InputVc::STATE_BITS);
-            }
-            let ovc = &lane.outputs[i];
-            if ovc.busy || ovc.credits != ovc.max_credits {
-                bits += u64::from(OutputVc::STATE_BITS);
-            }
-        }
-        bits
-    } else {
-        (P * v) as u64 * u64::from(InputVc::STATE_BITS + OutputVc::STATE_BITS)
-    };
-    if state_bits > 0 {
-        lane.led.arb.add(ActivityClass::RegClock, state_bits);
-    }
-
-    // Arbiters' pointer state (gated: clocked only on decision change).
-    for arb in lane
-        .input_arbs
-        .iter_mut()
-        .chain(lane.output_arbs.iter_mut())
-        .chain(lane.vc_arbs.iter_mut())
-    {
-        if gating {
-            arb.commit_gated(&mut lane.led.arb);
-        } else {
-            arb.commit(&mut lane.led.arb);
-        }
-    }
-
-    // Credit outputs latch; each pulse is a handshake on the link.
-    // Gated: a pulse wire resting low stays unclocked.
-    for i in 0..P * v {
-        let pulse = std::mem::take(&mut lane.credit_out_next[i]);
-        let reg = &mut lane.credit_out_regs[i];
-        reg.set_next(pulse);
-        if gating && !pulse && !reg.q() {
-            reg.clock_gated();
-        } else {
-            reg.clock(&mut lane.led.flow);
-        }
-        if pulse && i / v != PacketPort::Tile.index() {
-            lane.led.link.bump(ActivityClass::LinkToggle);
-        }
-    }
-
-    // Reassess the fast-path flags from the just-latched state. `quiet`
-    // lets neighbours skip wiring; `settled` additionally requires every
-    // input/output VC parked, so the next evaluation can be skipped
-    // outright (its commit then applies exactly the constants above:
-    // every register holds d == q, so no toggle can occur).
-    *lane.quiet = lane.out_words.iter().all(|w| w.flit.is_none())
-        && lane.credit_out_regs.iter().all(|reg| !reg.q());
-    *lane.settled = *lane.quiet
-        && lane.inputs.iter().all(|ivc| ivc.is_idle())
-        && lane
-            .outputs
-            .iter()
-            .all(|ovc| !ovc.busy && ovc.credits == ovc.max_credits);
-}
-
-/// The packet-switched baseline router: a [`RouterSlab`] of one, for
-/// single-router testbenches and the paper's component-level experiments.
-#[derive(Debug, Clone)]
-pub struct PacketRouter {
-    slab: RouterSlab,
-}
-
-impl PacketRouter {
-    /// A router with all VCs idle.
-    pub fn new(params: PacketParams) -> PacketRouter {
-        PacketRouter {
-            slab: RouterSlab::new(params, &[params.coords]),
-        }
-    }
-
-    /// The router's parameters.
-    pub fn params(&self) -> &PacketParams {
-        self.slab.params()
-    }
-
-    // ----- link interface ------------------------------------------------
-
-    /// Sample the flit arriving on `port` this cycle.
-    pub fn set_link_input(&mut self, port: PacketPort, vc: VcId, flit: Flit) {
-        self.slab.set_link_input(0, port, vc, flit);
-    }
-
-    /// Sample a returning credit for `(output port, vc)`.
-    pub fn set_credit_input(&mut self, port: PacketPort, vc: VcId, credit: bool) {
-        self.slab.set_credit_input(0, port, vc, credit);
-    }
-
-    /// The link word this router drives on `port` (valid after commit).
-    pub fn link_output(&self, port: PacketPort) -> LinkWord {
-        self.slab.link_output(0, port)
-    }
-
-    /// The latched credit pulse this router sends upstream on its *input*
-    /// `(port, vc)` — wire to the upstream router's `set_credit_input`.
-    pub fn credit_output(&self, port: PacketPort, vc: VcId) -> bool {
-        self.slab.credit_output(0, port, vc)
-    }
-
-    // ----- tile interface --------------------------------------------------
-
-    /// Room available for injection on tile VC `vc`?
-    pub fn tile_can_inject(&self, vc: VcId) -> bool {
-        self.slab.tile_can_inject(0, vc)
-    }
-
-    /// Offer a flit at the tile input port (at most one per cycle).
-    pub fn tile_inject(&mut self, vc: VcId, flit: Flit) -> bool {
-        self.slab.tile_inject(0, vc, flit)
-    }
-
-    /// Pop a flit delivered to the tile.
-    pub fn tile_recv(&mut self) -> Option<(VcId, Flit)> {
-        self.slab.tile_recv(0)
-    }
-
-    /// Flits waiting at the tile output.
-    pub fn tile_rx_pending(&self) -> usize {
-        self.slab.tile_rx_pending(0)
-    }
-
-    /// Flits accepted for injection at the tile port.
-    pub fn flits_injected(&self) -> u64 {
-        self.slab.flits_injected(0)
-    }
-
-    /// Flits delivered to the tile port.
-    pub fn flits_delivered(&self) -> u64 {
-        self.slab.flits_delivered(0)
-    }
-
-    // ----- activity --------------------------------------------------------
-
-    /// Per-component activity snapshots (Table 4 component granularity).
-    pub fn activity(&self) -> Vec<ComponentActivity> {
-        self.slab.activity(0)
-    }
-
     /// Reset all activity ledgers.
     pub fn clear_activity(&mut self) {
-        self.slab.clear_activity();
+        self.led = RouterLedgers::default();
     }
 
-    /// Is every FIFO empty and every VC idle? (drain detection for tests)
+    /// Is every FIFO empty and every VC idle? (drain detection for tests
+    /// and admission control)
     pub fn is_quiescent(&self) -> bool {
-        self.slab.is_quiescent(0)
+        self.inputs[..P * self.params.vcs]
+            .iter()
+            .all(|vc| vc.is_idle())
     }
 
     // ----- testbench inspection -------------------------------------------
@@ -877,22 +332,279 @@ impl PacketRouter {
     /// Is output VC `(port, vc)` allocated to a wormhole? (testbench
     /// inspection of the allocator state)
     pub fn output_vc_busy(&self, port: PacketPort, vc: VcId) -> bool {
-        self.slab.outputs[self.slab.rpv(0, port, vc)].busy
+        self.outputs[self.pv(port, vc)].busy
     }
 
     /// The output VC allocated to input VC `(port, vc)`, if any.
     pub fn input_out_vc(&self, port: PacketPort, vc: VcId) -> Option<VcId> {
-        self.slab.inputs[self.slab.rpv(0, port, vc)].out_vc
+        self.inputs[self.pv(port, vc)].out_vc
     }
 }
 
 impl Clocked for PacketRouter {
     fn eval(&mut self) {
-        self.slab.eval_one(0);
+        let v = self.params.vcs;
+
+        // Idle fast path: architectural state fully parked and nothing
+        // sampled on the links — evaluation is a provable no-op (every
+        // arbiter sees an empty request set, every register re-schedules
+        // its held value).
+        if self.settled && !self.inbox {
+            self.skipped = true;
+            return;
+        }
+        self.skipped = false;
+        self.inbox = false;
+
+        // --- 1. Arrival: write sampled flits into their VC FIFOs. Route
+        // computation happens later, when a head reaches the FIFO *front*:
+        // a head arriving behind a still-draining wormhole must not
+        // clobber the active route.
+        for port in 0..P {
+            if let Some((vc, flit)) = self.link_in[port].take() {
+                let ivc = &mut self.inputs[port * v + vc.index()];
+                let ok = ivc.fifo.push(flit, &mut self.led.buffer);
+                debug_assert!(ok, "credit flow control prevents FIFO overflow");
+            }
+        }
+
+        // --- credits returning from downstream. --------------------------
+        for i in 0..P * v {
+            if std::mem::take(&mut self.credit_in[i]) {
+                self.outputs[i].return_credit();
+                self.led.flow.bump(ActivityClass::Handshake);
+            }
+        }
+
+        // --- 1b. Route computation: an idle input VC whose FIFO front is
+        // a head flit decodes its destination (one decode per wormhole).
+        for i in 0..P * v {
+            let ivc = &mut self.inputs[i];
+            if ivc.out_vc.is_none() && ivc.route.is_none() {
+                if let Some(dest) = ivc.fifo.front().and_then(|f| f.dest()) {
+                    ivc.route = Some(route_xy(self.params.coords, dest));
+                    self.led.route.add(ActivityClass::WireToggle, 4);
+                }
+            }
+        }
+
+        // --- 2. VC allocation: one free output VC granted per output
+        // port. Request scratch lives on the stack (MAX_VCS bounds the
+        // width).
+        let mut requests = [false; PV];
+        for out_port in 0..P {
+            // Find a free output VC first.
+            let free_vc = (0..v).find(|&x| !self.outputs[out_port * v + x].busy);
+            let Some(free_vc) = free_vc else { continue };
+            // Requests: flattened input VCs whose head needs this output.
+            let req = &mut requests[..P * v];
+            for in_port in 0..P {
+                for vc in 0..v {
+                    let ivc = &self.inputs[in_port * v + vc];
+                    req[in_port * v + vc] = ivc.out_vc.is_none()
+                        && ivc.route == PacketPort::from_index(out_port)
+                        && matches!(ivc.fifo.front(), Some(f) if f.dest().is_some());
+                }
+            }
+            if let Some(winner) = self.vc_arbs[out_port].grant(req, &mut self.led.arb) {
+                let (ip, iv) = (winner / v, winner % v);
+                self.inputs[ip * v + iv].out_vc = Some(VcId(free_vc as u8));
+                self.outputs[out_port * v + free_vc].busy = true;
+            }
+        }
+
+        // --- 3. Switch allocation (input-first separable). ---------------
+        // Input stage: nominate one ready VC per input port.
+        let mut nominee: [Option<usize>; P] = [None; P]; // vc index per input port
+        let mut ready = [false; Self::MAX_VCS];
+        for (in_port, nom) in nominee.iter_mut().enumerate() {
+            for (vc, slot) in ready[..v].iter_mut().enumerate() {
+                let ivc = &self.inputs[in_port * v + vc];
+                *slot = ivc.out_vc.is_some()
+                    && !ivc.fifo.is_empty()
+                    && ivc.route.is_some_and(|r| {
+                        let ovc = ivc.out_vc.expect("checked is_some above");
+                        // The tile output sinks into an unbounded queue:
+                        // it always has credit. Mesh outputs need real
+                        // credit.
+                        r == PacketPort::Tile
+                            || self.outputs[r.index() * v + ovc.index()].credits > 0
+                    });
+            }
+            *nom = self.input_arbs[in_port].grant(&ready[..v], &mut self.led.arb);
+        }
+
+        // Output stage: pick one nominated input per output port.
+        let mut granted: [(usize, usize, usize); P] = [(0, 0, 0); P]; // (in_port, vc, out_port)
+        let mut granted_len = 0;
+        for out_port in 0..P {
+            let mut reqs = [false; P];
+            for in_port in 0..P {
+                if let Some(vc) = nominee[in_port] {
+                    if self.inputs[in_port * v + vc].route == PacketPort::from_index(out_port) {
+                        reqs[in_port] = true;
+                    }
+                }
+            }
+            if let Some(win) = self.output_arbs[out_port].grant(&reqs, &mut self.led.arb) {
+                granted[granted_len] = (
+                    win,
+                    nominee[win].expect("granted implies nominated"),
+                    out_port,
+                );
+                granted_len += 1;
+                // Crossbar select lines follow the granted input.
+                self.out_select[out_port].drive(win as u8 + 1, &mut self.led.xbar);
+            } else {
+                // Idle output: select parks at 0 (no input).
+                self.out_select[out_port].drive(0, &mut self.led.xbar);
+            }
+        }
+
+        // Move winners' flits to the output registers.
+        let mut out_next = [0u32; P];
+        for &(in_port, vc, out_port) in &granted[..granted_len] {
+            let ivc = &mut self.inputs[in_port * v + vc];
+            let out_vc = ivc.out_vc.expect("allocated before switch");
+            let flit = ivc
+                .fifo
+                .pop(&mut self.led.buffer)
+                .expect("ready implies non-empty");
+            if out_port != PacketPort::Tile.index() {
+                self.outputs[out_port * v + out_vc.index()].consume_credit();
+            }
+            // Credit back to our upstream for the freed slot.
+            self.credit_out_next[in_port * v + vc] = true;
+            let word = LinkWord {
+                flit: Some((out_vc.0, flit)),
+            };
+            out_next[out_port] = word.wire_image();
+            if flit.is_tail() {
+                self.outputs[out_port * v + out_vc.index()].busy = false;
+                ivc.release();
+            }
+        }
+        for (port, &next) in out_next.iter().enumerate() {
+            self.out_regs[port].set_next(next);
+        }
     }
 
     fn commit(&mut self) {
-        self.slab.commit_one(0);
+        let v = self.params.vcs;
+        let pv = P * v;
+        let gating = self.params.clock_gating;
+        let idle = self.idle;
+        let led = &mut self.led;
+
+        // Idle fast path: evaluation was skipped, so every register holds
+        // and every charge is the parked router's clock constant — zero
+        // toggles, zero handshakes, zero state change. Gated, even the
+        // clocks stop.
+        if self.skipped {
+            if !gating {
+                led.xbar.add(ActivityClass::RegClock, idle.xbar);
+                led.buffer.add(ActivityClass::RegClock, idle.buffer);
+                led.arb.add(ActivityClass::RegClock, idle.arb);
+                led.flow.add(ActivityClass::RegClock, idle.flow);
+            }
+            return;
+        }
+
+        // Output registers latch and drive the links. Physical width:
+        // 16 payload + 2 kind + vc id + valid. Gated: a register parked at
+        // idle (holding idle, staying idle) is not clocked.
+        let out_bits = 16 + 2 + self.params.vc_bits() + 1;
+        for port in 0..P {
+            let reg = &mut self.out_regs[port];
+            if gating && reg.q() == 0 && reg.d() == 0 {
+                reg.clock_gated();
+            } else {
+                reg.clock_bits(&mut led.xbar, out_bits);
+            }
+            let image = reg.q();
+            self.out_words[port] = decode_wire(image);
+            if port != PacketPort::Tile.index() {
+                self.link_wires[port].drive(image, &mut led.link);
+            }
+        }
+
+        // Tile deliveries drain into the tile queue.
+        if let Some((vc, flit)) = self.out_words[PacketPort::Tile.index()].flit {
+            self.tile_rx.push_back((VcId(vc), flit));
+            self.flits_delivered += 1;
+        }
+
+        // All buffer flops clock every cycle — the dominant offset. Gated:
+        // an empty FIFO's storage and pointers hold, so its clock is off.
+        for ivc in &self.inputs[..pv] {
+            if !(gating && ivc.fifo.is_empty()) {
+                ivc.fifo.clock_tick(&mut led.buffer);
+            }
+        }
+
+        // VC state and credit-counter registers clock every cycle; gated,
+        // only VCs holding a wormhole or outstanding credits do.
+        let state_bits = if gating {
+            let mut bits = 0u64;
+            for (ivc, ovc) in self.inputs[..pv].iter().zip(&self.outputs[..pv]) {
+                if !ivc.is_idle() {
+                    bits += u64::from(InputVc::STATE_BITS);
+                }
+                if ovc.busy || ovc.credits != ovc.max_credits {
+                    bits += u64::from(OutputVc::STATE_BITS);
+                }
+            }
+            bits
+        } else {
+            pv as u64 * u64::from(InputVc::STATE_BITS + OutputVc::STATE_BITS)
+        };
+        if state_bits > 0 {
+            led.arb.add(ActivityClass::RegClock, state_bits);
+        }
+
+        // Arbiters' pointer state (gated: clocked only on decision change).
+        for arb in self
+            .input_arbs
+            .iter_mut()
+            .chain(self.output_arbs.iter_mut())
+            .chain(self.vc_arbs.iter_mut())
+        {
+            if gating {
+                arb.commit_gated(&mut led.arb);
+            } else {
+                arb.commit(&mut led.arb);
+            }
+        }
+
+        // Credit outputs latch; each pulse is a handshake on the link.
+        // Gated: a pulse wire resting low stays unclocked.
+        for i in 0..pv {
+            let pulse = std::mem::take(&mut self.credit_out_next[i]);
+            let reg = &mut self.credit_out_regs[i];
+            reg.set_next(pulse);
+            if gating && !pulse && !reg.q() {
+                reg.clock_gated();
+            } else {
+                reg.clock(&mut led.flow);
+            }
+            if pulse && i / v != PacketPort::Tile.index() {
+                led.link.bump(ActivityClass::LinkToggle);
+            }
+        }
+
+        // Reassess the fast-path flags from the just-latched state.
+        // `quiet` lets neighbours skip wiring; `settled` additionally
+        // requires every input/output VC parked, so the next evaluation
+        // can be skipped outright (its commit then applies exactly the
+        // constants above: every register holds d == q, so no toggle can
+        // occur).
+        self.quiet = self.out_words.iter().all(|w| w.flit.is_none())
+            && self.credit_out_regs[..pv].iter().all(|reg| !reg.q());
+        self.settled = self.quiet
+            && self.inputs[..pv].iter().all(|ivc| ivc.is_idle())
+            && self.outputs[..pv]
+                .iter()
+                .all(|ovc| !ovc.busy && ovc.credits == ovc.max_credits);
     }
 }
 
@@ -1218,66 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn slab_stride_matches_independent_routers() {
-        // Two routers in one slab, driven with different stimuli, must
-        // behave exactly like two independent slab-of-one routers: the
-        // stride math must never let stripes bleed into each other.
-        let params = PacketParams::paper();
-        let coords = [Coords::new(0, 0), Coords::new(3, 3)];
-        let mut slab = RouterSlab::new(params, &coords);
-        let mut solo0 = PacketRouter::new(params.at(coords[0]));
-        let mut solo1 = PacketRouter::new(params.at(coords[1]));
-        let pkt0 = Packet::new(Coords::new(1, 0), vec![0xAB, 0xCD]);
-        let pkt1 = Packet::new(Coords::new(3, 1), vec![0x11, 0x22, 0x33]);
-        let mut flits0: VecDeque<Flit> = pkt0.to_flits().into();
-        let mut flits1: VecDeque<Flit> = pkt1.to_flits().into();
-        for _ in 0..30 {
-            if let Some(&f) = flits0.front() {
-                let a = slab.tile_inject(0, VcId(0), f);
-                let b = solo0.tile_inject(VcId(0), f);
-                assert_eq!(a, b);
-                if a {
-                    flits0.pop_front();
-                }
-            }
-            if let Some(&f) = flits1.front() {
-                let a = slab.tile_inject(1, VcId(1), f);
-                let b = solo1.tile_inject(VcId(1), f);
-                assert_eq!(a, b);
-                if a {
-                    flits1.pop_front();
-                }
-            }
-            for r in 0..2 {
-                slab.eval_one(r);
-            }
-            for r in 0..2 {
-                slab.commit_one(r);
-            }
-            step(&mut solo0);
-            step(&mut solo1);
-            for port in PacketPort::ALL {
-                assert_eq!(slab.link_output(0, port), solo0.link_output(port));
-                assert_eq!(slab.link_output(1, port), solo1.link_output(port));
-            }
-        }
-        // Activity parity per router, too.
-        for (a, b) in slab.activity(0).iter().zip(solo0.activity()) {
-            assert_eq!(a.ledger, b.ledger, "router 0 ledgers diverged");
-        }
-        for (a, b) in slab.activity(1).iter().zip(solo1.activity()) {
-            assert_eq!(a.ledger, b.ledger, "router 1 ledgers diverged");
-        }
-    }
-
-    #[test]
     fn quiet_links_flag_is_exact() {
         // quiet_links must be false exactly while the router drives a link
         // word or a credit pulse.
         let mut r = router();
-        assert!(!r.slab.quiet_links(0), "unknown before the first commit");
+        assert!(!r.quiet_links(), "unknown before the first commit");
         step(&mut r);
-        assert!(r.slab.quiet_links(0), "idle router is quiet");
+        assert!(r.quiet_links(), "idle router is quiet");
         let pkt = Packet::new(Coords::new(1, 0), vec![0x77]);
         let mut flits: VecDeque<Flit> = pkt.to_flits().into();
         let mut quiet_while_driving = false;
@@ -1297,7 +956,7 @@ mod tests {
                     .any(|&p| (0..4).any(|vcc| r.credit_output(p, VcId(vcc))));
             if driving {
                 drove = true;
-                quiet_while_driving |= r.slab.quiet_links(0);
+                quiet_while_driving |= r.quiet_links();
             }
         }
         assert!(drove, "test premise: the packet must move");
@@ -1306,7 +965,7 @@ mod tests {
         for _ in 0..5 {
             step(&mut r);
         }
-        assert!(r.slab.quiet_links(0));
+        assert!(r.quiet_links());
     }
 
     #[test]

@@ -334,13 +334,9 @@ impl WorkerPool {
 
     /// Run `f(i)` for every index in `0..len`, fanned out over up to
     /// `lanes` threads. Blocks until every index has been processed;
-    /// each index runs exactly once.
-    ///
-    /// This is the slab-stepping primitive: `f` is only required to be
-    /// `Sync` + `Fn`, so callers whose state lives in index-striped slabs
-    /// (disjoint writes per index, e.g. `RouterSlab`) wrap their access in
-    /// the closure and uphold disjointness themselves.
-    pub fn for_each_index<F>(&self, len: usize, lanes: usize, f: F)
+    /// each index runs exactly once — the guarantee
+    /// [`WorkerPool::for_each_mut`] turns into disjoint `&mut` access.
+    fn for_each_index<F>(&self, len: usize, lanes: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -571,27 +567,6 @@ where
         return;
     }
     WorkerPool::global().for_each_mut(items, lanes, f);
-}
-
-/// Run `f(i)` for every index in `0..len`, possibly in parallel per
-/// `policy`, on the [`WorkerPool::global`] pool.
-///
-/// The closure must be safe to run concurrently on *different* indices:
-/// callers stepping index-striped slabs (`RouterSlab`, `TileSlab`) uphold
-/// write-disjointness per index themselves — each index runs exactly once
-/// per call, on exactly one thread.
-pub fn par_indexed<F>(len: usize, policy: ParPolicy, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let lanes = policy.lanes_for(len);
-    if lanes <= 1 || len <= 1 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    WorkerPool::global().for_each_index(len, lanes, f);
 }
 
 /// Run `left` and `right` concurrently on the global pool when `policy`
@@ -991,20 +966,5 @@ mod tests {
         let mut b = 0;
         par_join(ParPolicy::Threads(2), 1_000, || a = 1, || b = 2);
         assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn par_indexed_matches_sequential() {
-        let seq: Vec<AtomicU64> = (0..300).map(AtomicU64::new).collect();
-        let par: Vec<AtomicU64> = (0..300).map(AtomicU64::new).collect();
-        par_indexed(300, ParPolicy::Sequential, |i| {
-            seq[i].fetch_add(i as u64, Ordering::Relaxed);
-        });
-        par_indexed(300, ParPolicy::Threads(4), |i| {
-            par[i].fetch_add(i as u64, Ordering::Relaxed);
-        });
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-        }
     }
 }

@@ -4,6 +4,7 @@
 //! [`ParPolicy`] must be invisible in payload, activity and energy.
 
 use noc_exp::testbench::CircuitScenarioBench;
+use noc_sim::activity::{ActivityClass, ComponentKind};
 use rcs_noc::prelude::*;
 
 #[test]
@@ -388,6 +389,21 @@ fn restored_fleet_replay_reproduces_the_slo_report() {
         report.max_admission_latency > 0,
         "no BE-delivered cold start charged an admission latency: {report:?}"
     );
+    // Best-effort service is every non-circuit stream: spilled ones on a
+    // hybrid and every stream of a packet or deflection tenant.
+    for tenant in original.tenants() {
+        let best_effort = tenant
+            .deployment()
+            .fabric()
+            .stream_stats()
+            .iter()
+            .any(|s| s.plane != StreamPlane::Circuit && s.delivered_words > 0);
+        assert!(
+            !best_effort || tenant.slo().be_p95.is_some(),
+            "{} delivered best-effort words but reports no BE p95",
+            tenant.name()
+        );
+    }
 
     // A fresh fleet from the same specs, resumed from the checkpoint.
     let mut replay = build();
@@ -401,20 +417,59 @@ fn restored_fleet_replay_reproduces_the_slo_report() {
     );
 }
 
+/// `Fabric::activity()` as exact event counts, component by component, in
+/// `ActivityClass::ALL` order: RegClock, RegToggle, WireToggle,
+/// LinkToggle, BufferWrite, BufferRead, ArbiterEval, ArbiterGrantChange,
+/// SelectToggle, ConfigWrite, Handshake.
+type ActivityTable = Vec<(ComponentKind, [u64; 11])>;
+
+/// `fabric`'s [`ActivityTable`].
+fn activity_counts<F: Fabric + ?Sized>(fabric: &F) -> ActivityTable {
+    fabric
+        .activity()
+        .into_iter()
+        .map(|c| {
+            let mut counts = [0u64; 11];
+            for (slot, &class) in counts.iter_mut().zip(&ActivityClass::ALL) {
+                *slot = c.ledger.get(class);
+            }
+            (c.kind, counts)
+        })
+        .collect()
+}
+
+/// The seeded HiperLAN/2 run behind the activity pins: a 4×4 mesh at
+/// 200 MHz runs 2000 cycles of offered load, drains stream 0 away
+/// mid-run (on the circuit plane, teardown reconfigures live routers)
+/// and runs 2000 cycles more. Returns the exact activity table.
+fn hiperlan2_drain_activity(kind: FabricKind, router_params: RouterParams) -> ActivityTable {
+    let graph = noc_apps::hiperlan2::task_graph(&Hiperlan2Params::standard(Modulation::Qam64));
+    let mut dep = Deployment::builder(&graph)
+        .mesh(4, 4)
+        .clock(MegaHertz(200.0))
+        .seed(0xAC71)
+        .router_params(router_params)
+        .fabric(kind)
+        .build()
+        .expect("HiperLAN/2 fits a 4x4 mesh on every backend");
+    dep.run(2000);
+    let drained = dep.fabric().stream_stats()[0].id;
+    dep.stop_traffic(drained);
+    dep.fabric_mut()
+        .release(drained, ReleaseMode::Drain)
+        .expect("live stream releases");
+    dep.run(2000);
+    activity_counts(dep.fabric())
+}
+
 /// Exact circuit-router activity, component by component and class by
-/// class, with and without the clock gating of inactive lanes. A seeded
-/// HiperLAN/2 deployment on a 4×4 circuit mesh runs offered load, drains
-/// one circuit away mid-run (teardown reconfigures live routers) and runs
-/// on. Every count of `Fabric::activity()` must match the recorded table,
-/// so a change to how the router latches or accounts its registers, link
-/// wires, converters or flow control cannot move a single event
-/// unnoticed, gated or not.
+/// class, with and without the clock gating of inactive lanes, on the
+/// seeded HiperLAN/2 drain run. Every count of `Fabric::activity()` must
+/// match the recorded table, so a change to how the router latches or
+/// accounts its registers, link wires, converters or flow control cannot
+/// move a single event unnoticed, gated or not.
 #[test]
 fn circuit_activity_is_pinned_with_and_without_clock_gating() {
-    use noc_sim::activity::{ActivityClass, ComponentKind};
-    // Counts in `ActivityClass::ALL` order: RegClock, RegToggle,
-    // WireToggle, LinkToggle, BufferWrite, BufferRead, ArbiterEval,
-    // ArbiterGrantChange, SelectToggle, ConfigWrite, Handshake.
     const FLOW: [u64; 11] = [2048000, 14020, 0, 0, 0, 0, 0, 0, 0, 0, 1714];
     const CONFIG: [u64; 11] = [0, 0, 0, 0, 0, 0, 0, 0, 27, 27, 0];
     const CONVERTER: [u64; 11] = [11776000, 248497, 0, 0, 0, 0, 0, 0, 0, 0, 0];
@@ -431,39 +486,127 @@ fn circuit_activity_is_pinned_with_and_without_clock_gating() {
             (ComponentKind::Link, LINK),
         ]
     };
-    let graph = noc_apps::hiperlan2::task_graph(&Hiperlan2Params::standard(Modulation::Qam64));
     let run = |clock_gating: bool| {
-        let mut dep = Deployment::builder(&graph)
-            .mesh(4, 4)
-            .clock(MegaHertz(200.0))
-            .seed(0xAC71)
-            .router_params(RouterParams {
+        hiperlan2_drain_activity(
+            FabricKind::Circuit,
+            RouterParams {
                 clock_gating,
                 ..RouterParams::paper()
-            })
-            .build()
-            .expect("HiperLAN/2 fits a 4x4 circuit mesh");
-        dep.run(2000);
-        let drained = dep.fabric().stream_stats()[0].id;
-        dep.stop_traffic(drained);
-        dep.fabric_mut()
-            .release(drained, ReleaseMode::Drain)
-            .expect("live stream releases");
-        dep.run(2000);
-        dep.fabric()
-            .activity()
-            .into_iter()
-            .map(|c| {
-                let mut counts = [0u64; 11];
-                for (slot, &class) in counts.iter_mut().zip(&ActivityClass::ALL) {
-                    *slot = c.ledger.get(class);
-                }
-                (c.kind, counts)
-            })
-            .collect::<Vec<_>>()
+            },
+        )
     };
     // Ungated, all 100 crossbar register bits of all 16 routers clock on
     // each of the 4000 cycles; gated, only the configured lanes do.
     assert_eq!(run(false), expected(6_400_000), "ungated activity moved");
     assert_eq!(run(true), expected(280_130), "gated activity moved");
+}
+
+/// Exact activity of the packet-switched planes, component by component
+/// and class by class: the buffered wormhole mesh and the bufferless
+/// deflection mesh on the seeded HiperLAN/2 drain run, and the hybrid on
+/// the oversubscribed 3×1 line, whose light stream spills onto the
+/// clock-gated packet plane. Any change to how the VC or deflection
+/// routers latch, arbitrate, buffer or account an event — idle fast path
+/// and clock gating included — moves a count here.
+#[test]
+fn packet_plane_activity_is_pinned() {
+    let packet = hiperlan2_drain_activity(FabricKind::Packet, RouterParams::paper());
+    let deflection = hiperlan2_drain_activity(FabricKind::Deflection, RouterParams::paper());
+    let hybrid = {
+        let graph = {
+            let ccn = Ccn::new(Mesh::new(3, 1), RouterParams::paper(), MegaHertz(25.0));
+            noc_apps::synthetic::oversubscribed_line(ccn.lane_capacity())
+        };
+        let mut dep = Deployment::builder(&graph)
+            .mesh(3, 1)
+            .clock(MegaHertz(25.0))
+            .seed(0xD1CE)
+            .spill(true)
+            .fabric(FabricKind::Hybrid)
+            .build()
+            .expect("spill admission deploys on the hybrid");
+        dep.run(2500);
+        dep.settle(2500);
+        assert!(
+            dep.fabric().spilled_words() > 0,
+            "premise: the gated packet plane carries words"
+        );
+        activity_counts(dep.fabric())
+    };
+    assert_eq!(
+        packet,
+        vec![
+            (
+                ComponentKind::Buffering,
+                [101120000, 0, 0, 0, 67101, 70584, 0, 0, 0, 0, 0]
+            ),
+            (
+                ComponentKind::Arbitration,
+                [18240000, 2855, 0, 0, 0, 0, 16494, 1422, 0, 0, 0]
+            ),
+            (
+                ComponentKind::Crossbar,
+                [6720000, 69426, 0, 0, 0, 0, 0, 0, 1147, 0, 0]
+            ),
+            (ComponentKind::Routing, [0, 0, 1896, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                ComponentKind::FlowControl,
+                [1280000, 945, 0, 0, 0, 0, 0, 0, 0, 0, 4420]
+            ),
+            (ComponentKind::Link, [0, 0, 0, 42790, 0, 0, 0, 0, 0, 0, 0]),
+        ],
+        "packet-mesh activity moved"
+    );
+    assert_eq!(
+        deflection,
+        vec![
+            (
+                ComponentKind::Crossbar,
+                [20480000, 349164, 0, 0, 0, 0, 0, 0, 18674, 0, 0]
+            ),
+            (
+                ComponentKind::Arbitration,
+                [0, 0, 0, 0, 0, 0, 7693, 0, 0, 0, 0]
+            ),
+            (
+                ComponentKind::Routing,
+                [0, 0, 30772, 0, 0, 0, 0, 0, 0, 0, 0]
+            ),
+            (ComponentKind::Buffering, [0; 11]),
+            (ComponentKind::Link, [0, 0, 0, 193554, 0, 0, 0, 0, 0, 0, 0]),
+        ],
+        "deflection-mesh activity moved"
+    );
+    assert_eq!(
+        hybrid,
+        vec![
+            (
+                ComponentKind::Crossbar,
+                [903747, 56296, 0, 0, 0, 0, 0, 0, 590, 0, 0]
+            ),
+            (
+                ComponentKind::ConfigMemory,
+                [0, 0, 0, 0, 0, 0, 0, 0, 13, 13, 0]
+            ),
+            (
+                ComponentKind::DataConverter,
+                [1538976, 102082, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            ),
+            (
+                ComponentKind::FlowControl,
+                [270855, 6154, 0, 0, 0, 0, 0, 0, 0, 0, 2742]
+            ),
+            (ComponentKind::Link, [0, 0, 0, 34386, 0, 0, 0, 0, 0, 0, 0]),
+            (
+                ComponentKind::Buffering,
+                [0, 0, 0, 0, 25317, 26154, 0, 0, 0, 0, 0]
+            ),
+            (
+                ComponentKind::Arbitration,
+                [36940, 1072, 0, 0, 0, 0, 6240, 534, 0, 0, 0]
+            ),
+            (ComponentKind::Routing, [0, 0, 720, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ],
+        "hybrid activity moved"
+    );
 }
