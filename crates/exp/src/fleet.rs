@@ -7,10 +7,9 @@
 //! `Deployment<FabricController>` with its own fabric, admission policy
 //! and offered-load profile — and advances them one *batch* (a fixed
 //! number of cycles) at a time, fanning the per-tenant stepping out over
-//! the shared worker pool ([`noc_sim::par`]). Tenants inside the pool
-//! step their own fabrics sequentially ([`ParPolicy::Sequential`]): the
-//! fleet-level fan-out is the parallelism, one tenant per lane, and
-//! nested dispatch would only fight it for workers.
+//! the shared worker pool ([`noc_sim::par`]). That fan-out is the
+//! parallelism: a tenant steps its own fabric inline on the pool block
+//! that holds it.
 //!
 //! Three capabilities ride on that population:
 //!
@@ -368,11 +367,10 @@ impl Fleet {
         self
     }
 
-    /// Build and admit one tenant from `spec`. The tenant's fabric steps
-    /// sequentially inside the fleet's fan-out (nested dispatch would
-    /// fight the pool), and its controller is concretely typed so SLO
-    /// reporting reads [`FabricController::controller_stats`] directly.
-    /// Returns the tenant's index.
+    /// Build and admit one tenant from `spec`. Its controller is
+    /// concretely typed so SLO reporting reads
+    /// [`FabricController::controller_stats`] directly. Returns the
+    /// tenant's index.
     pub fn admit(&mut self, spec: &TenantSpec) -> Result<usize, DeployError> {
         let mut builder = Deployment::builder(&spec.graph)
             .mesh(spec.mesh.0, spec.mesh.1)
@@ -380,7 +378,6 @@ impl Fleet {
             .seed(spec.seed)
             .fabric(spec.kind)
             .spill(spec.spill)
-            .parallelism(ParPolicy::Sequential)
             .provisioning(spec.provisioning)
             .tick_window(spec.tick_window);
         if let Some((cw, ch)) = spec.chiplets {

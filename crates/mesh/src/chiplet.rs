@@ -12,8 +12,11 @@
 //! per lane per cycle, excess words queue and the wait is charged to the
 //! stream's `LatencyHistogram`.
 //!
-//! Stepping shards the chiplet planes onto the shared [`WorkerPool`]: each
-//! plane is one contiguous dispatch block, and boundary words are exchanged
+//! Stepping forks the chiplet planes onto the shared
+//! [`noc_sim::par::WorkerPool`] in one dispatch per cycle, sized by the
+//! router count of the whole grid. A dispatch block holds exactly one plane
+//! while there are at most four planes per lane, and each plane steps its
+//! own routers inline on its block's thread. Boundary words are exchanged
 //! in a fully sequential post-step phase so results are bit-identical under
 //! every [`ParPolicy`].
 
@@ -24,7 +27,7 @@ use noc_core::params::RouterParams;
 use noc_packet::params::PacketParams;
 use noc_power::area::noi_entry_router_area;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
-use noc_sim::par::{ParPolicy, WorkerPool};
+use noc_sim::par::{par_for_each_sized, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 
@@ -1244,19 +1247,14 @@ impl Fabric for ChipletFabric {
             .collect()
     }
 
-    /// One aggregate cycle: step every chiplet plane (sharded onto the
-    /// worker pool), then exchange boundary words sequentially.
+    /// One aggregate cycle: step every chiplet plane in one pool dispatch
+    /// sized by the grid's router count (a block holds exactly one plane
+    /// while planes ≤ 4 × lanes), then exchange boundary words
+    /// sequentially.
     fn step(&mut self) {
-        let lanes = self.policy.lanes_for(self.mesh.nodes());
-        if lanes <= 1 || self.planes.len() <= 1 {
-            for plane in &mut self.planes {
-                plane.as_fabric_mut().step();
-            }
-        } else {
-            WorkerPool::global().for_each_mut(&mut self.planes, lanes, |plane| {
-                plane.as_fabric_mut().step();
-            });
-        }
+        par_for_each_sized(&mut self.planes, self.policy, self.mesh.nodes(), |plane| {
+            plane.as_fabric_mut().step();
+        });
         self.now = Cycle(self.now.0 + 1);
         let now = self.now.0;
         self.advance_noi(now);

@@ -228,8 +228,9 @@ impl<'g> DeploymentBuilder<'g> {
     /// activity, energy — the knob only trades worker-pool dispatch
     /// overhead against multi-core fan-out ([`noc_sim::par`]). Applies to
     /// every backend: the circuit `Soc` and `PacketFabric` fan their
-    /// routers out; the hybrid additionally steps its two planes
-    /// concurrently.
+    /// routers out; the hybrid and a chiplet grid fan their planes out
+    /// instead, each plane stepping its routers inline (fan-out is one
+    /// level deep).
     pub fn parallelism(mut self, policy: ParPolicy) -> Self {
         self.parallelism = policy;
         self

@@ -543,10 +543,12 @@ pub trait Fabric: Send {
     fn finish_injection(&mut self) {}
 
     /// Choose serial or pooled per-cycle evaluation for [`Fabric::step`]
-    /// (see [`noc_sim::par::WorkerPool`]). Every policy yields bit-identical
-    /// simulation results; the knob only trades dispatch overhead against
-    /// multi-core fan-out. The default implementation ignores the policy so
-    /// that backends without internal parallelism remain trivial to write.
+    /// (see [`noc_sim::par::WorkerPool`]; fan-out is one level deep, so a
+    /// fabric stepped inside a pool block steps inline). Every policy yields
+    /// bit-identical simulation results; the knob only trades dispatch
+    /// overhead against multi-core fan-out. The default implementation
+    /// ignores the policy so that backends without internal parallelism
+    /// remain trivial to write.
     fn set_parallelism(&mut self, policy: ParPolicy) {
         let _ = policy;
     }

@@ -57,7 +57,7 @@ use crate::topology::Mesh;
 use noc_core::params::RouterParams;
 use noc_packet::params::PacketParams;
 use noc_sim::activity::ComponentActivity;
-use noc_sim::par::{par_join, ParPolicy};
+use noc_sim::par::{par_for_each_sized, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 use std::collections::HashMap;
@@ -443,14 +443,11 @@ impl Fabric for HybridFabric {
     /// Choose serial or pooled stepping (default [`ParPolicy::Auto`]).
     ///
     /// When the policy parallelises a fabric of this size, the two planes
-    /// step **concurrently** — they share no state until `drain`/
-    /// `activity` merge their results, so a hybrid cycle is a two-sided
-    /// fork-join ([`noc_sim::par::par_join`]). The work-stealing pool
-    /// makes the fork composable: each plane's own router fan-out runs
-    /// *inside* its side of the fork, and idle lanes steal blocks across
-    /// the plane boundary instead of waiting at a barrier — no lane clamp,
-    /// no plane-vs-router trade-off. The policy is propagated to both
-    /// planes; results are bit-identical on every path.
+    /// step **concurrently**: they share no state until `drain`/`activity`
+    /// merge their results, so a hybrid cycle forks its planes as two pool
+    /// blocks, and each plane steps its own routers inline on its block's
+    /// thread. The policy is propagated to both planes; results are
+    /// bit-identical on every path.
     fn set_parallelism(&mut self, policy: ParPolicy) {
         self.policy = policy;
         self.circuit.set_parallelism(policy);
@@ -458,16 +455,10 @@ impl Fabric for HybridFabric {
     }
 
     fn step(&mut self) {
-        // Fork the planes onto the pool. With work-stealing deques there
-        // is no reason to serialise them: a nested router dispatch inside
-        // either side publishes its blocks for any idle lane to steal, so
-        // the fork composes with full-width router fan-out instead of
-        // clamping it (par_join itself degrades to inline calls under a
-        // sequential or single-lane policy without waking the pool).
-        let nodes = self.circuit.mesh().nodes();
-        let circuit = &mut self.circuit;
-        let spill = &mut self.spill;
-        par_join(self.policy, 2 * nodes, || circuit.step(), || spill.step());
+        // One dispatch per cycle, sized by both planes' routers.
+        let routers = 2 * self.circuit.mesh().nodes();
+        let mut planes: [&mut dyn Fabric; 2] = [&mut self.circuit, &mut self.spill];
+        par_for_each_sized(&mut planes, self.policy, routers, |plane| plane.step());
         self.now += 1;
     }
 

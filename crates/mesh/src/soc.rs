@@ -573,8 +573,10 @@ impl Fabric for Soc {
 
     /// Choose serial or pooled router evaluation (default
     /// [`ParPolicy::Auto`]): the eval and commit phases fan out over the
-    /// persistent [`noc_sim::par::WorkerPool`]. Results are bit-identical
-    /// under every policy; deployments reach this knob through
+    /// persistent [`noc_sim::par::WorkerPool`], or run inline when this
+    /// plane is itself stepped inside a pool block (a hybrid's or chiplet
+    /// grid's plane, a fleet's tenant). Results are bit-identical under
+    /// every policy; deployments reach this knob through
     /// `Deployment::builder(..).parallelism(..)`.
     fn set_parallelism(&mut self, policy: ParPolicy) {
         self.policy = policy;

@@ -24,9 +24,10 @@
 //! * [`kernel`] — the two-phase [`kernel::Clocked`] contract every router
 //!   model implements, and [`kernel::step`] to clock one component.
 //! * [`par`] — data-parallel stepping of many independent components per cycle
-//!   on a persistent [`par::WorkerPool`] of parked threads (used by `noc-mesh`
-//!   for large meshes; see `ARCHITECTURE.md` at the repo root for how the
-//!   two-phase contract makes this race-free).
+//!   on a persistent [`par::WorkerPool`] of parked threads, one fan-out level
+//!   deep (used by `noc-mesh` for large meshes and composite fabrics; see
+//!   `ARCHITECTURE.md` at the repo root for how the two-phase contract makes
+//!   this race-free).
 //! * [`rng`] — small deterministic RNG (SplitMix64) so experiments reproduce
 //!   bit-for-bit across runs and platforms.
 //! * [`stats`] — running statistics and histograms used by testbenches.

@@ -8,34 +8,23 @@
 //! is therefore embarrassingly parallel, and on meshes of dozens of routers
 //! it pays to fan it out across cores.
 //!
-//! Earlier revisions spawned scoped threads *per cycle* (~ms, never paid
-//! off), then parked a persistent pool and handed every thread one fixed
-//! contiguous chunk per dispatch. Fixed chunks have two structural problems
-//! this revision removes:
-//!
-//! 1. **One job slot.** Only one dispatch could be in flight, so two
-//!    concurrent dispatchers (the hybrid fabric's two planes) serialised,
-//!    and a dispatch nested inside a pool task had to degrade to inline
-//!    execution.
-//! 2. **No balancing.** A worker that finished its chunk early parked while
-//!    a loaded chunk (e.g. the routers along a congested path) ran long.
-//!
-//! [`WorkerPool`] now keeps a **registry of live jobs**. A dispatch splits
-//! its index range into blocks, deals the blocks into one queue per lane,
-//! and publishes the job; every participant — workers *and* the dispatching
-//! thread — drains its own queue first and **steals from the fullest
-//! remaining queue (its own job's or any other live job's) when empty**.
-//! The dispatcher returns when its job's last block completes, which is the
-//! same barrier the clocking contract needs. Because any thread can claim
-//! blocks from any live job, two planes dispatched concurrently share every
-//! lane, and a dispatch nested inside a pool task simply publishes a child
-//! job and helps drain it — no inline degradation, no deadlock (a claimant
-//! always drains the job it waits on before blocking).
+//! Fan-out is **one level deep**. A dispatch splits its index range into
+//! blocks, deals the blocks into one queue per lane and publishes the job in
+//! the pool's single slot; every participant — workers *and* the dispatching
+//! thread — drains its own queue first and steals from the fullest other
+//! queue of that job when its own runs dry. The dispatcher returns when the
+//! job's last block completes, which is the barrier the clocking contract
+//! needs. A dispatch made while the calling thread runs a pool block, or
+//! while another thread's job holds the slot, runs inline on the calling
+//! thread: a composite fabric forks once at its own grain (the hybrid's two
+//! planes, a chiplet grid's planes, a fleet's tenants) and steps everything
+//! beneath one block on that block's thread.
 //!
 //! **Determinism:** the block → index mapping is a pure function of the
 //! length and lane count, every index is executed exactly once, and blocks
-//! write disjoint state — so results are bit-identical under every policy
-//! and every steal schedule, enforced by the determinism suites.
+//! write disjoint state — so results are bit-identical under every policy,
+//! every steal schedule and on the inline path, enforced by the determinism
+//! suites.
 //!
 //! ```
 //! use noc_sim::par::{par_for_each_mut, ParPolicy};
@@ -49,6 +38,7 @@
 
 use crate::kernel::Clocked;
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -81,8 +71,9 @@ pub enum ParPolicy {
     Sequential,
     /// Evaluate on up to `n` threads. [`lanes_for`](ParPolicy::lanes_for)
     /// clamps this to the component count; the dispatching pool further
-    /// clamps to its own size (e.g. [`WorkerPool::global`]), so `n` is an
-    /// upper bound, not a guarantee.
+    /// clamps to its own size (e.g. [`WorkerPool::global`]) and runs a
+    /// nested or contended dispatch inline, so `n` is an upper bound, not a
+    /// guarantee.
     Threads(usize),
     /// Pick `Sequential` below [`ParPolicy::AUTO_SEQUENTIAL_BELOW`]
     /// components, otherwise one lane per available CPU. Calibrated
@@ -109,10 +100,7 @@ impl ParPolicy {
     /// work. `1` means sequential.
     ///
     /// The small-`len` arms short-circuit **before** touching the cached
-    /// CPU count: a nested dispatch over a handful of components (e.g. a
-    /// `par_join` fork evaluating a small plane inside a pool task) must
-    /// resolve to sequential without consulting — or faulting in — any
-    /// machine-wide state.
+    /// CPU count, so a small plane never faults in machine-wide state.
     ///
     /// ```
     /// use noc_sim::par::ParPolicy;
@@ -226,37 +214,46 @@ impl BlockQueue {
     }
 }
 
-/// The pool's shared registry of live jobs.
-struct Registry {
-    jobs: Vec<Arc<JobCore>>,
+/// The pool's one job slot.
+struct Slot {
+    job: Option<Arc<JobCore>>,
     shutdown: bool,
 }
 
 struct Shared {
-    registry: Mutex<Registry>,
-    /// Workers park here when no live job has unclaimed blocks.
+    slot: Mutex<Slot>,
+    /// Workers park here while the slot holds no unclaimed block.
     work: Condvar,
-    /// Dispatchers park here while their job's stragglers finish.
+    /// The dispatcher parks here while its job's stragglers finish.
     done: Condvar,
 }
 
-/// Lock the registry, shrugging off poison: blocks run outside the lock,
-/// so a panicking task can never leave the registry inconsistent.
-fn lock_registry(shared: &Shared) -> MutexGuard<'_, Registry> {
+/// Lock the slot, shrugging off poison: blocks run outside the lock, so a
+/// panicking task can never leave the slot inconsistent.
+fn lock_slot(shared: &Shared) -> MutexGuard<'_, Slot> {
     shared
-        .registry
+        .slot
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+thread_local! {
+    /// Set while this thread runs pool blocks (always, on a worker): a
+    /// dispatch from such a thread runs inline, keeping fan-out one level
+    /// deep.
+    static IN_BLOCK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// A persistent pool of parked worker threads with work-stealing dispatch.
 ///
 /// Workers are spawned once (at construction) and live until the pool is
-/// dropped. A dispatch publishes a job (per-lane block queues) and the
-/// dispatching thread helps drain it; parked workers wake and drain every
-/// live job, stealing across queues — and across *jobs* — when their own
-/// runs dry. The dispatcher returns only when its job's last block has
-/// finished, so a dispatch is still a barrier from the caller's view.
+/// dropped. A dispatch publishes a job (per-lane block queues) in the
+/// pool's one slot and the dispatching thread helps drain it; parked
+/// workers wake and drain it too, stealing across its queues when their
+/// own runs dry. The dispatcher returns only when its job's last block has
+/// finished, so a dispatch is still a barrier from the caller's view. A
+/// dispatch from inside a pool block, or while another thread's job holds
+/// the slot, runs inline on the calling thread.
 ///
 /// Most callers never construct one: [`par_for_each_mut`] (and the fabric
 /// backends built on it) use [`WorkerPool::global`], sized to the machine.
@@ -270,12 +267,6 @@ fn lock_registry(shared: &Shared) -> MutexGuard<'_, Registry> {
 /// let mut items = vec![1u32; 100];
 /// pool.for_each_mut(&mut items, 3, |x| *x *= 2);
 /// assert!(items.iter().all(|&x| x == 2));
-/// // A dispatch nested inside a pool task publishes a child job and the
-/// // pool's lanes are shared across both; a two-sided join runs closures
-/// // concurrently.
-/// let (mut a, mut b) = (0u64, 0u64);
-/// pool.join(|| a = 1, || b = 2);
-/// assert_eq!((a, b), (1, 2));
 /// ```
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -295,8 +286,8 @@ impl WorkerPool {
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            registry: Mutex::new(Registry {
-                jobs: Vec::new(),
+            slot: Mutex::new(Slot {
+                job: None,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -332,33 +323,6 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Run `f(i)` for every index in `0..len`, fanned out over up to
-    /// `lanes` threads. Blocks until every index has been processed;
-    /// each index runs exactly once — the guarantee
-    /// [`WorkerPool::for_each_mut`] turns into disjoint `&mut` access.
-    fn for_each_index<F>(&self, len: usize, lanes: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let lanes = lanes.max(1).min(self.workers + 1).min(len.max(1));
-        if lanes <= 1 || len <= 1 {
-            for i in 0..len {
-                f(i);
-            }
-            return;
-        }
-        let blocks = (lanes * Self::BLOCKS_PER_LANE).min(len);
-        let grain = len.div_ceil(blocks);
-        let task = move |block: usize| {
-            let start = block * grain;
-            let end = (start + grain).min(len);
-            for i in start..end {
-                f(i);
-            }
-        };
-        self.dispatch(blocks, lanes, &task);
-    }
-
     /// Apply `f` to every element, fanned out over up to `lanes` threads
     /// (clamped to the pool size and the element count). Blocks until every
     /// element has been processed. Each invocation gets an exclusive
@@ -370,48 +334,34 @@ impl WorkerPool {
         F: Fn(&mut T) + Sync,
     {
         let len = items.len();
+        let lanes = lanes.clamp(1, self.workers + 1).min(len);
+        if lanes <= 1 {
+            items.iter_mut().for_each(f);
+            return;
+        }
+        let blocks = (lanes * Self::BLOCKS_PER_LANE).min(len);
+        let grain = len.div_ceil(blocks);
         let base = SendPtr(items.as_mut_ptr());
-        self.for_each_index(len, lanes, move |i| {
+        let task = move |block: usize| {
             let base = base;
-            // SAFETY: each index is executed exactly once per dispatch, so
-            // the &mut views are disjoint; the dispatch barrier keeps the
-            // caller's &mut [T] borrow alive until all blocks finish.
-            f(unsafe { &mut *base.0.add(i) });
-        });
-    }
-
-    /// Run two closures, one on the calling thread and one on a pool
-    /// worker, and wait for both — the two-sided fork-join used to step a
-    /// hybrid fabric's circuit and packet planes concurrently. Dispatches
-    /// nested inside either side publish child jobs on the same pool, so
-    /// both planes' router fan-out shares every lane.
-    pub fn join<L, R>(&self, left: L, right: R)
-    where
-        L: FnOnce() + Send,
-        R: FnOnce() + Send,
-    {
-        let left = Mutex::new(Some(left));
-        let right = Mutex::new(Some(right));
-        let task = |id: usize| {
-            if id == 0 {
-                if let Some(side) = left.lock().expect("join slot").take() {
-                    side();
-                }
-            } else if let Some(side) = right.lock().expect("join slot").take() {
-                side();
+            for i in block * grain..((block + 1) * grain).min(len) {
+                // SAFETY: each block runs exactly once per dispatch and the
+                // blocks' index ranges are disjoint, so the &mut views are
+                // too; the dispatch barrier keeps the caller's &mut [T]
+                // borrow alive until all blocks finish.
+                f(unsafe { &mut *base.0.add(i) });
             }
         };
-        self.dispatch(2, 2, &task);
+        self.dispatch(blocks, lanes, &task);
     }
 
     /// Publish `task` as a job of `blocks` blocks over `lanes` queues, help
-    /// drain it, and return once every block has finished. Runs inline when
-    /// there is nothing to fan out.
+    /// drain it, and return once every block has finished. Runs the blocks
+    /// inline, in order, when the calling thread is inside a pool block or
+    /// another thread's job holds the slot.
     fn dispatch(&self, blocks: usize, lanes: usize, task: &(dyn Fn(usize) + Sync)) {
-        if blocks <= 1 {
-            for b in 0..blocks {
-                task(b);
-            }
+        if IN_BLOCK.get() {
+            (0..blocks).for_each(task);
             return;
         }
         // SAFETY: lifetime erasure. The barrier below keeps `task` alive
@@ -419,28 +369,32 @@ impl WorkerPool {
         // dispatch does not return until `pending` hits zero.
         let job = Arc::new(JobCore::new(unsafe { erase(task) }, blocks, lanes));
         {
-            let mut reg = lock_registry(&self.shared);
-            reg.jobs.push(Arc::clone(&job));
+            let mut slot = lock_slot(&self.shared);
+            if slot.job.is_some() {
+                drop(slot);
+                (0..blocks).for_each(task);
+                return;
+            }
+            slot.job = Some(Arc::clone(&job));
             self.shared.work.notify_all();
         }
-        // Help-first: drain our own queues (stealing within the job when
-        // ours runs dry), then wait for stragglers. A nested dispatch from
-        // inside a block lands here recursively with its own job — it
-        // drains that child to completion before returning, so the parent
-        // block always finishes and the barrier chain unwinds.
+        // Help-first: drain our own queue (stealing within the job when it
+        // runs dry), then wait for stragglers.
+        IN_BLOCK.set(true);
         while let Some(b) = job.claim(0) {
             run_block(&job, b, &self.shared);
         }
+        IN_BLOCK.set(false);
         {
-            let mut reg = lock_registry(&self.shared);
+            let mut slot = lock_slot(&self.shared);
             while job.pending.load(Ordering::Acquire) > 0 {
-                reg = self
+                slot = self
                     .shared
                     .done
-                    .wait(reg)
+                    .wait(slot)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            reg.jobs.retain(|j| !Arc::ptr_eq(j, &job));
+            slot.job = None;
         }
         let payload = job.panic.lock().expect("panic slot").take();
         if let Some(payload) = payload {
@@ -454,8 +408,8 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut reg = lock_registry(&self.shared);
-            reg.shutdown = true;
+            let mut slot = lock_slot(&self.shared);
+            slot.shutdown = true;
             self.shared.work.notify_all();
         }
         for handle in self.handles.drain(..) {
@@ -488,8 +442,8 @@ fn run_block(job: &JobCore, block: usize, shared: &Shared) {
     }
     if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last block: the dispatcher may be parked on `done`. Taking the
-        // registry lock orders this notify after its wait begins.
-        let _reg = lock_registry(shared);
+        // slot lock orders this notify after its wait begins.
+        let _slot = lock_slot(shared);
         shared.done.notify_all();
     }
 }
@@ -525,21 +479,20 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 fn worker_loop(shared: &Shared, index: usize) {
+    IN_BLOCK.set(true);
     loop {
         let job = {
-            let mut reg = lock_registry(shared);
+            let mut slot = lock_slot(shared);
             loop {
-                if reg.shutdown {
+                if slot.shutdown {
                     return;
                 }
-                // Steal-on-empty across jobs: any live job with unclaimed
-                // blocks is fair game, in publication order.
-                if let Some(job) = reg.jobs.iter().find(|j| j.has_work()) {
+                if let Some(job) = slot.job.as_ref().filter(|j| j.has_work()) {
                     break Arc::clone(job);
                 }
-                reg = shared
+                slot = shared
                     .work
-                    .wait(reg)
+                    .wait(slot)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
@@ -559,34 +512,25 @@ where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    let lanes = policy.lanes_for(items.len());
-    if lanes <= 1 || items.len() <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
+    par_for_each_sized(items, policy, items.len(), f);
+}
+
+/// [`par_for_each_mut`] with `policy` resolved for `work` components
+/// instead of for the element count: a composite fabric forks its planes
+/// this way, sized by the router count behind them, so
+/// [`ParPolicy::Auto`] judges the fork by the work it carries. There are
+/// never more lanes than elements.
+pub fn par_for_each_sized<T, F>(items: &mut [T], policy: ParPolicy, work: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let lanes = policy.lanes_for(work).min(items.len());
+    if lanes <= 1 {
+        items.iter_mut().for_each(f);
         return;
     }
     WorkerPool::global().for_each_mut(items, lanes, f);
-}
-
-/// Run `left` and `right` concurrently on the global pool when `policy`
-/// resolves to more than one lane for `work_items` components, otherwise
-/// sequentially (`left` first). `work_items` should be the total component
-/// count behind both closures — e.g. the router count of both planes of a
-/// hybrid fabric — so [`ParPolicy::Auto`] can judge whether the fork is
-/// worth a dispatch. Dispatches nested inside either side publish child
-/// jobs on the same pool (full lane sharing, no inline degradation).
-pub fn par_join<L, R>(policy: ParPolicy, work_items: usize, left: L, right: R)
-where
-    L: FnOnce() + Send,
-    R: FnOnce() + Send,
-{
-    if policy.lanes_for(work_items) <= 1 {
-        left();
-        right();
-    } else {
-        WorkerPool::global().join(left, right);
-    }
 }
 
 /// Step a slice of clocked components one cycle — each one's eval then its
@@ -606,7 +550,7 @@ mod tests {
     use super::*;
     use crate::activity::ActivityLedger;
     use crate::signal::Reg;
-    use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
     struct Doubler {
         v: Reg<u32>,
@@ -706,29 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn indexed_dispatch_covers_every_index_once() {
-        let pool = WorkerPool::new(3);
-        for len in [0usize, 1, 2, 7, 64, 333] {
-            for lanes in [1usize, 2, 4, 9] {
-                let hits: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
-                pool.for_each_index(len, lanes, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "len={len} lanes={lanes}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn small_dispatches_on_a_larger_pool_do_not_race() {
         // Regression (PR 3 shape): a dispatch with fewer blocks than
         // workers wakes threads that will find nothing to claim. They must
         // park again cleanly — never touch a retired job — even when they
-        // get scheduled only after the dispatcher finished and removed the
-        // job from the registry. The idle gaps give late wakers time to
+        // get scheduled only after the dispatcher finished and cleared the
+        // job from the slot. The idle gaps give late wakers time to
         // run after cleanup.
         let pool = WorkerPool::new(3);
         let mut xs = vec![0u64; 2];
@@ -742,21 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn join_on_a_larger_pool_does_not_race() {
-        // Same shape as HybridFabric's par_join: 2 blocks on a pool with
-        // more than one worker, repeated with gaps.
-        let pool = WorkerPool::new(3);
-        let (mut a, mut b) = (0u64, 0u64);
-        for i in 0..500 {
-            pool.join(|| a += 1, || b += 1);
-            if i % 50 == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        }
-        assert_eq!((a, b), (500, 500));
-    }
-
-    #[test]
     fn pool_is_reusable_across_many_dispatches() {
         // The whole point of persistence: thousands of cheap dispatches on
         // the same parked workers (one per simulated cycle in real use).
@@ -766,15 +678,6 @@ mod tests {
             pool.for_each_mut(&mut xs, 3, |x| *x += 1);
         }
         assert!(xs.iter().all(|&x| x == 2_000));
-    }
-
-    #[test]
-    fn join_runs_both_sides() {
-        let pool = WorkerPool::new(1);
-        let mut a = 0u32;
-        let mut b = 0u32;
-        pool.join(|| a = 7, || b = 9);
-        assert_eq!((a, b), (7, 9));
     }
 
     #[test]
@@ -797,10 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_dispatchers_share_the_pool() {
-        // Two threads dispatching at once: with the job registry neither
-        // serialises on the other, workers drain both jobs, and each
-        // dispatch still acts as a barrier for its own items.
+    fn contended_dispatch_completes_inline() {
+        // Two threads dispatching at once on one pool: whichever finds the
+        // slot taken runs its dispatch inline instead of waiting for it,
+        // and each dispatch still acts as a barrier for its own items.
         let pool = Arc::new(WorkerPool::new(2));
         let other = Arc::clone(&pool);
         let handle = std::thread::spawn(move || {
@@ -820,10 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_dispatch_shares_the_pool() {
-        // A pool task that itself fans out publishes a child job on the
-        // same pool — no deadlock, and the nested dispatcher drains the
-        // child before returning.
+    fn nested_dispatch_completes_inline() {
+        // A pool task that itself fans out runs that dispatch inline — no
+        // deadlock, and every inner element is touched exactly once.
         let pool = WorkerPool::new(2);
         let mut outer = vec![vec![0u8; 100]; 4];
         pool.for_each_mut(&mut outer, 3, |inner| {
@@ -833,49 +735,25 @@ mod tests {
     }
 
     #[test]
-    fn nested_join_completes_both_levels() {
-        let pool = WorkerPool::new(1);
-        let mut results = [0u32; 2];
-        let (left, right) = results.split_at_mut(1);
-        pool.join(
-            || {
-                let mut inner = (0u32, 0u32);
-                WorkerPool::global().join(|| inner.0 = 1, || inner.1 = 2);
-                left[0] = inner.0 + inner.1;
-            },
-            || right[0] = 5,
-        );
-        assert_eq!(results, [3, 5]);
-    }
-
-    #[test]
-    fn nested_small_dispatch_short_circuits_before_cpu_count() {
-        // Satellite regression: a par_join (or any dispatch) nested inside
-        // a pool task over fewer than AUTO_SEQUENTIAL_BELOW components must
-        // resolve to sequential from the length alone — left side first,
-        // deterministically — rather than consulting machine-wide state.
-        // `lanes_for` short-circuits on `len` before its Auto arm reads the
-        // cached CPU count, so the nested fork is inline on every machine.
-        assert_eq!(
-            ParPolicy::Auto.lanes_for(ParPolicy::AUTO_SEQUENTIAL_BELOW - 1),
-            1
-        );
+    fn nested_dispatch_stays_on_the_blocks_own_thread() {
+        // One level of fan-out: a dispatch nested in a pool block (here on
+        // the global pool, inside a dedicated pool's block) touches every
+        // element on the thread running that block, whatever the host. The
+        // sleeps give a published inner job's workers time to steal.
         let pool = WorkerPool::new(2);
-        let order = Mutex::new(Vec::new());
-        pool.join(
-            || {
-                // Nested join over a tiny plane: must run inline, in order.
-                par_join(
-                    ParPolicy::Auto,
-                    ParPolicy::AUTO_SEQUENTIAL_BELOW - 1,
-                    || order.lock().unwrap().push("inner-left"),
-                    || order.lock().unwrap().push("inner-right"),
-                );
-            },
-            || {},
-        );
-        let seen = order.lock().unwrap().clone();
-        assert_eq!(seen, vec!["inner-left", "inner-right"]);
+        let mut outer: Vec<(Option<ThreadId>, Vec<Option<ThreadId>>)> =
+            vec![(None, vec![None; 64]); 8];
+        pool.for_each_mut(&mut outer, 3, |(block, inner)| {
+            *block = Some(std::thread::current().id());
+            par_for_each_mut(inner, ParPolicy::Threads(4), |x| {
+                std::thread::sleep(std::time::Duration::from_micros(20));
+                *x = Some(std::thread::current().id());
+            });
+        });
+        for (block, inner) in &outer {
+            assert!(block.is_some());
+            assert!(inner.iter().all(|x| x == block));
+        }
     }
 
     #[test]
@@ -946,25 +824,5 @@ mod tests {
         let mut xs = vec![0u32; 64];
         pool.for_each_mut(&mut xs, 4, |x| *x += 1);
         assert!(xs.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn par_join_sequential_policy_runs_inline() {
-        let order = Mutex::new(Vec::new());
-        par_join(
-            ParPolicy::Sequential,
-            1_000,
-            || order.lock().unwrap().push(1),
-            || order.lock().unwrap().push(2),
-        );
-        assert_eq!(*order.lock().unwrap(), vec![1, 2], "left runs first");
-    }
-
-    #[test]
-    fn par_join_parallel_policy_runs_both() {
-        let mut a = 0;
-        let mut b = 0;
-        par_join(ParPolicy::Threads(2), 1_000, || a = 1, || b = 2);
-        assert_eq!((a, b), (1, 2));
     }
 }

@@ -144,7 +144,8 @@ fn all_fabric_kinds_reproducible_from_seed() {
 /// `ParPolicy::Sequential`, `Threads(2)` and `Auto` yields bit-identical
 /// per-node delivered payload and bit-identical total energy. The workload
 /// oversubscribes the circuit lanes so the hybrid exercises its concurrent
-/// two-plane stepping (`par_join`) with real spillover traffic.
+/// two-plane stepping (one `par_for_each_sized` fork of its planes) with
+/// real spillover traffic.
 #[test]
 fn all_policies_bit_identical_payload_and_energy() {
     let graph = {
